@@ -7,8 +7,9 @@ Usage, from the root of a checkout:
 
 Builds perfbench/ (and the library sources it compiles) into the build
 directory (CARGO_TARGET_DIR if set, else .bench_build), runs the benchmark
-binary with the parameters in perfbench/workloads.json, prints each metric
-by name and unit, and ends with one JSON line:
+binary (every fixed setting of a workload is a constant in
+toppriv_perfbench.cc), prints each metric by name and unit, and ends with
+one JSON line:
 
     {"correct": true, "attempted": N, "failed": F, "metrics": {...}}
 
@@ -72,28 +73,15 @@ def main():
                          "(sensitivity check only)")
     args = ap.parse_args()
 
-    with open(os.path.join(BENCH_DIR, "workloads.json")) as f:
-        config = json.load(f)
-    if args.workload not in config["workloads"]:
-        log("unknown workload %r (have %s)" %
-            (args.workload, ", ".join(sorted(config["workloads"]))))
-        return 2
-
     build_root = os.environ.get("CARGO_TARGET_DIR") or ".bench_build"
     binary = build(build_root)
     if binary is None:
         log("build failed")
         return 1
 
-    params = dict(config["fixed"])
-    params.update(config["workloads"][args.workload])
     cmd = [binary, "--workload", args.workload, "--seed", str(args.seed),
            "--seconds", str(args.seconds), "--trace", str(args.trace),
            "--state-dir", build_root, "--spin-us", str(args.spin_us)]
-    for key, value in sorted(params.items()):
-        if key.startswith("_"):
-            continue
-        cmd += ["--set", "%s=%s" % (key, value)]
     try:
         proc = subprocess.run(cmd, stdout=subprocess.PIPE, stderr=sys.stderr,
                               timeout=RUN_TIMEOUT_S, text=True)

@@ -17,8 +17,8 @@ self         two such sets (seeds 1..N, then N+1..2N) of the same build:
 sensitivity  a baseline set, then a set whose engine spins --spin-us before
              every evaluation; prints which metrics the bound flags.
 
-Exits non-zero if a spread (setup_s excepted), a self-vs-self comparison,
-or (for sensitivity) the expected flag fails.
+Exits non-zero if a spread, a self-vs-self comparison, or (for
+sensitivity) the expected flag fails.
 """
 
 import argparse
@@ -66,8 +66,8 @@ def spread(values):
 
 
 def report_spread(workload, seeds, runs, metrics):
-    """Prints each metric's median and IQR/median; False if one (setup_s
-    excepted) is wider than its bound."""
+    """Prints each metric's median and IQR/median; False if one is wider
+    than its bound."""
     print("\n%s (%d runs, seeds %d..%d)" %
           (workload, len(seeds), seeds[0], seeds[-1]))
     print("%-16s %14s %9s %7s %s" %
@@ -78,7 +78,7 @@ def report_spread(workload, seeds, runs, metrics):
         bound = metrics[name]["bound"]
         verdict = "ok" if sp <= bound / 3 else (
             "within bound" if sp <= bound else "TOO WIDE")
-        if name != "setup_s" and sp > bound:
+        if sp > bound:
             ok = False
         print("%-16s %14.5f %9.4f %7.3f %-12s %s" %
               (name, med, sp, bound, verdict,

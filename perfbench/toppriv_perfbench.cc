@@ -2,26 +2,25 @@
 //
 //   toppriv_perfbench --workload <name> --seed <n> --seconds <s>
 //                     --trace <0|1> --state-dir <dir> [--spin-us <x>]
-//                     --set key=value ...
 //
-// perfbench/run.py builds this binary and passes every --set parameter
-// from perfbench/workloads.json; the binary has no defaults of its own.
+// perfbench/run.py builds this binary and runs it. Every fixed setting of
+// a workload (rates, SLO, threads, durability, sizes) is a constant below.
 //
 // Workloads (see perfbench/README.md for why each exists):
 //   protect_closed  closed loop: client threads run user sessions of
 //                   distinct genuine queries, each cycle Protect() then v
 //                   Evaluate() calls on the static TAAT engine.
 //   protect_open    SessionDriver::RunOpenLoop: Poisson arrivals at a fixed
-//                   nominal rate through the admission gate, then a fixed
-//                   ladder of rates for the highest rate within the SLO.
+//                   nominal rate through the admission gate, then a ladder
+//                   of fixed rates for the highest rate within the SLO.
 //   engine_replay   the engine-visible stream of cycles protected before
 //                   the window, replayed closed loop on the static engine.
 //   live_mixed      a writer streams the corpus tail into a durable
 //                   LiveIndex at a fixed rate while SessionDriver::Run
 //                   sessions read through a LiveSearchEngine.
 //
-// Every workload: untimed model priming, `setup_repeats` timed set-ups
-// (median reported), an untimed warm-up, then the window. --trace 0 prints
+// Every workload: untimed model priming, timed set-ups (see main), an
+// untimed warm-up, then the window. --trace 0 prints
 // the end-to-end metrics; --trace 1 runs the window twice, untraced then
 // traced, and prints the per-layer metrics of the traced one (its
 // trace.overhead_frac compares the two). Output checks run after the
@@ -42,7 +41,6 @@
 #include <cstring>
 #include <fstream>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -73,6 +71,77 @@ using Clock = std::chrono::steady_clock;
 using Query = std::vector<text::TermId>;
 
 namespace {
+
+// ------------------------------------------------------ fixed settings --
+
+// Fixed inputs, the same for every workload and seed: the synthetic corpus,
+// its index, the LDA100 model and the paper's 150-query workload.
+constexpr size_t kCorpusDocs = 1500;
+constexpr double kCorpusDocLen = 100;
+constexpr size_t kCorpusTailVocab = 3000;
+constexpr size_t kPaperQueries = 150;
+constexpr size_t kLdaTopics = 100;
+constexpr size_t kLdaIterations = 100;
+constexpr size_t kTopK = 10;
+// Set-ups per group for setup_s (see main; one takes about 0.06 s).
+constexpr size_t kSetupRepeats = 5;
+// A window is measured as this many equal slices (see Medians).
+constexpr size_t kSlices = 10;
+// A query pool holds room for this many times the fastest rate seen so far
+// before each slice (see QueryPool).
+constexpr double kPoolMargin = 4;
+
+// protect_closed.
+constexpr size_t kClosedThreads = 3;
+constexpr size_t kClosedCyclesPerSession = 20;
+constexpr size_t kClosedWarmupSessions = 40;
+constexpr size_t kClosedCheckSessions = 4;
+
+// protect_open: kOpenWorkers workers plus the driver's arrival thread.
+constexpr size_t kOpenWorkers = 3;
+constexpr size_t kOpenSessions = 16;
+constexpr double kOpenWarmupS = 0.5;
+// The nominal rate, about half the max rate in SLO, is measured for half of
+// the window as kOpenNominalCalls RunOpenLoop calls; the ladder follows.
+constexpr double kOpenNominalRate = 1000;
+constexpr size_t kOpenNominalCalls = 5;
+// SLO: p99 from scheduled arrival within 10 ms, at most 1% missed.
+constexpr double kSloP99Ms = 10;
+constexpr double kSloMaxMissedFrac = 0.01;
+// Ladder rung i offers kOpenLadderStart * kOpenLadderStep^i cycles/s (i may
+// be negative), kOpenLadderCalls calls of kOpenLadderCallS each. The start
+// sits below the max rate in SLO (about 2,000 cycles/s on a 4-vCPU host),
+// so that few rungs are spent where the SLO is surely met.
+constexpr double kOpenLadderStart = 1500;
+constexpr double kOpenLadderStep = 1.1;
+constexpr size_t kOpenLadderCalls = 3;
+constexpr double kOpenLadderCallS = 1.2;
+// Only a bound on the run time: a walk still going after this long stops
+// (and says so). Passing rungs take 3.6 s each, so a walk up reaches about
+// 13 times kOpenLadderStart first.
+constexpr double kOpenLadderBudgetS = 100;
+constexpr size_t kOpenQueueDepth = 64;
+constexpr double kOpenDegradedWatermark = 0.75;
+constexpr double kOpenDeadlineMs = 100;
+
+// engine_replay: the paper sessions protected kReplayRounds times (600
+// cycles) before the window.
+constexpr size_t kReplayThreads = 3;
+constexpr size_t kReplaySessions = 16;
+constexpr size_t kReplayRounds = 4;
+constexpr size_t kReplayWarmupPasses = 20;
+
+// live_mixed: kLiveReaders readers plus the writer thread. The writer
+// streams the corpus tail after kLiveUpfrontDocs, spread evenly over the
+// window, in kLiveBatchDocs-doc DurabilityPolicy::kPerBatch batches.
+constexpr size_t kLiveReaders = 2;
+constexpr size_t kLiveUpfrontDocs = 300;
+constexpr size_t kLiveBatchDocs = 1;
+constexpr size_t kLiveMaxWriterDocs = 128;
+constexpr size_t kLiveMergeFactor = 4;
+constexpr size_t kLiveSessionsPerBatch = 48;
+constexpr size_t kLiveCyclesPerSession = 4;
+static_assert(kLiveUpfrontDocs < kCorpusDocs, "live_mixed needs a corpus tail");
 
 // ------------------------------------------------------------- helpers --
 
@@ -176,39 +245,34 @@ struct Event {
   float start_s = 0, seconds = 0, cycles = 0, queries = 0;
 };
 
-// Fixed-capacity event store, one per thread, allocated and touched before
-// any window so the benchmark's own memory does not grow with throughput
-// (rss_mb is meant to see the program's). Events past the capacity
-// are dropped.
+// One thread's events of a slice. Its buffer is kept from slice to slice
+// and freed, with the benchmark's other inputs, before rss_mb is read.
 class Events {
  public:
-  explicit Events(size_t capacity) : v_(capacity) {}
-  void Clear() { n_ = 0; }
+  void Clear() { v_.clear(); }
   void Add(double start_s, double seconds, double cycles, double queries) {
-    if (n_ < v_.size()) {
-      v_[n_++] = Event{static_cast<float>(start_s), static_cast<float>(seconds),
-                       static_cast<float>(cycles), static_cast<float>(queries)};
-    }
+    v_.push_back(Event{static_cast<float>(start_s), static_cast<float>(seconds),
+                       static_cast<float>(cycles), static_cast<float>(queries)});
   }
   double Seconds() const {
     double t = 0;
-    for (size_t i = 0; i < n_; ++i) t += v_[i].seconds;
+    for (const Event& e : v_) t += e.seconds;
     return t;
   }
   static std::vector<Event> Merge(const std::vector<Events>& per) {
     std::vector<Event> out;
-    for (const Events& p : per) out.insert(out.end(), p.v_.begin(), p.v_.begin() + p.n_);
+    for (const Events& p : per) out.insert(out.end(), p.v_.begin(), p.v_.end());
     return out;
   }
 
  private:
   std::vector<Event> v_;
-  size_t n_ = 0;
 };
 
-// Throughput and latency of one slice of a window (or their medians).
+// Throughput and latency of one slice of a window (or their medians). The
+// tail is the p99, on live_mixed the write p90 (see LiveMixed).
 struct WindowFigures {
-  double cycles_per_s = 0, queries_per_s = 0, p50_s = 0, p99_s = 0;
+  double cycles_per_s = 0, queries_per_s = 0, p50_s = 0, tail_s = 0;
 };
 
 // A slice's figures from its events: cycles and queries per second over
@@ -264,33 +328,6 @@ struct Args {
   bool trace = false;
   std::string state_dir;
   double spin_us = 0.0;
-  std::map<std::string, std::string> params;
-
-  const std::string& Raw(const std::string& key) const {
-    auto it = params.find(key);
-    if (it == params.end()) Die("missing parameter " + key);
-    return it->second;
-  }
-  double D(const std::string& key) const {
-    return std::strtod(Raw(key).c_str(), nullptr);
-  }
-  size_t U(const std::string& key) const {
-    const double v = D(key);
-    if (v < 0) Die("negative parameter " + key);
-    return static_cast<size_t>(v);
-  }
-  std::vector<double> List(const std::string& key) const {
-    std::vector<double> out;
-    const std::string& s = Raw(key);
-    size_t pos = 0;
-    while (pos < s.size()) {
-      size_t next = s.find(',', pos);
-      if (next == std::string::npos) next = s.size();
-      out.push_back(std::strtod(s.substr(pos, next - pos).c_str(), nullptr));
-      pos = next + 1;
-    }
-    return out;
-  }
 };
 
 Args ParseArgs(int argc, char** argv) {
@@ -311,23 +348,19 @@ Args ParseArgs(int argc, char** argv) {
       a.state_dir = value;
     } else if (flag == "--spin-us") {
       a.spin_us = std::strtod(value.c_str(), nullptr);
-    } else if (flag == "--set") {
-      const size_t eq = value.find('=');
-      if (eq == std::string::npos) Die("--set wants key=value: " + value);
-      a.params[value.substr(0, eq)] = value.substr(eq + 1);
     } else {
       Die("unknown flag " + flag);
     }
   }
   if (a.workload.empty() || a.seconds <= 0.0 || a.state_dir.empty()) {
     Die("usage: --workload W --seed N --seconds S --trace 0|1 "
-        "--state-dir D [--spin-us X] --set k=v ...");
+        "--state-dir D [--spin-us X]");
   }
   return a;
 }
 
 // Medians over a window's slices of each figure. A window is measured as
-// `slices` equal slices so that a stall of the shared host spoils one slice
+// kSlices equal slices so that a stall of the shared host spoils one slice
 // rather than the run's reading.
 WindowFigures Medians(const std::vector<WindowFigures>& slices) {
   std::vector<double> c, q, p50, p99;
@@ -335,7 +368,7 @@ WindowFigures Medians(const std::vector<WindowFigures>& slices) {
     c.push_back(f.cycles_per_s);
     q.push_back(f.queries_per_s);
     p50.push_back(f.p50_s);
-    p99.push_back(f.p99_s);
+    p99.push_back(f.tail_s);
   }
   return {Median(c), Median(q), Median(p50), Median(p99)};
 }
@@ -494,22 +527,22 @@ struct Stack {
 
 experiments::FixtureConfig MakeFixtureConfig(const Args& a) {
   experiments::FixtureConfig c;
-  c.corpus_params.num_docs = a.U("corpus_docs");
-  c.corpus_params.mean_doc_length = a.D("corpus_doc_len");
-  c.corpus_params.tail_vocab_size = a.U("corpus_tail_vocab");
+  c.corpus_params.num_docs = kCorpusDocs;
+  c.corpus_params.mean_doc_length = kCorpusDocLen;
+  c.corpus_params.tail_vocab_size = kCorpusTailVocab;
   // The paper's 150-query workload is a fixed input like the corpus (the
   // generator's default seed); the benchmark seed deals it to sessions and
   // drives the protection, the arrivals and every larger query set.
-  c.workload_params.num_queries = a.U("paper_queries");
-  c.lda_iterations = a.U("lda_iterations");
+  c.workload_params.num_queries = kPaperQueries;
+  c.lda_iterations = kLdaIterations;
   c.cache_dir = a.state_dir + "/model_cache";
   return c;
 }
 
-index::live::LiveIndexOptions LiveOptions(const Args& a) {
+index::live::LiveIndexOptions LiveOptions() {
   index::live::LiveIndexOptions o;
-  o.max_writer_docs = a.U("live_max_writer_docs");
-  o.merge_factor = a.U("live_merge_factor");
+  o.max_writer_docs = kLiveMaxWriterDocs;
+  o.merge_factor = kLiveMergeFactor;
   o.durability = index::live::DurabilityPolicy::kPerBatch;
   return o;
 }
@@ -519,7 +552,7 @@ std::string WalDir(const Args& a) { return a.state_dir + "/run/wal"; }
 serving::DriverOptions DriverOpts(const Args& a, size_t threads) {
   serving::DriverOptions o;
   o.num_threads = threads;
-  o.top_k = a.U("top_k");
+  o.top_k = kTopK;
   o.seed = DeriveSeed(a.seed, 2);
   return o;
 }
@@ -532,11 +565,11 @@ void OpenLive(const Args& a, Stack& s) {
   const corpus::Corpus& corpus = s.fixture->corpus();
   WipeDir(WalDir(a));
   auto recovered = index::live::LiveIndex::Recover(
-      util::GetRealFileSystem(), WalDir(a), LiveOptions(a));
+      util::GetRealFileSystem(), WalDir(a), LiveOptions());
   if (!recovered.ok()) Die("LiveIndex::Recover: " + recovered.status().ToString());
   s.live = std::move(*recovered);
   s.live->EnsureTermSpace(corpus.vocabulary_size());
-  s.upfront_docs = a.U("live_upfront_docs");
+  s.upfront_docs = kLiveUpfrontDocs;
   index::live::StreamCorpus(corpus, 0, s.upfront_docs,
                             std::max<size_t>(1, s.upfront_docs), s.live.get());
   s.live->Refresh();
@@ -549,7 +582,7 @@ std::unique_ptr<Stack> BuildStack(const Args& a) {
   s->fixture = std::make_unique<experiments::ExperimentFixture>(
       MakeFixtureConfig(a));
   const corpus::Corpus& corpus = s->fixture->corpus();
-  s->model = &s->fixture->model(a.U("lda_topics"));
+  s->model = &s->fixture->model(kLdaTopics);
   s->inferencer = std::make_unique<topicmodel::LdaInferencer>(*s->model);
   s->engine = std::make_unique<search::SearchEngine>(
       corpus, s->fixture->index(), search::MakeBm25Scorer(),
@@ -562,13 +595,13 @@ std::unique_ptr<Stack> BuildStack(const Args& a) {
     s->timed = std::make_unique<TimingEngine>(s->engine.get(), a.spin_us);
     s->driver = std::make_unique<serving::SessionDriver>(
         *s->model, *s->inferencer, *s->timed,
-        DriverOpts(a, a.U("open_workers")));
+        DriverOpts(a, kOpenWorkers));
   } else if (w == "live_mixed") {
     OpenLive(a, *s);
     s->timed = std::make_unique<TimingEngine>(s->live_engine.get(), a.spin_us);
     s->driver = std::make_unique<serving::SessionDriver>(
         *s->model, *s->inferencer, *s->timed,
-        DriverOpts(a, a.U("live_readers")));
+        DriverOpts(a, kLiveReaders));
   } else {
     Die("unknown workload " + w);
   }
@@ -604,39 +637,50 @@ struct Result {
 
 // Genuine queries, all distinct, generated from the seed in chunks (a
 // large workload's surface strings would dominate peak memory) and kept
-// flat, so the benchmark's own memory stays small beside the program's.
+// flat. The pool grows between slices, never while a slice runs, to room
+// for kPoolMargin times the fastest rate seen so far (Reserve), so a faster
+// program is given more queries rather than a guessed ceiling. Growth adds
+// whole chunks, so query i is the same for a seed however the pool grew.
+// The pool is freed before rss_mb is read: it is the benchmark's input,
+// and its size follows the measured rate.
 class QueryPool {
  public:
-  QueryPool(const Args& a, const Stack& s, size_t count, uint64_t stream) {
-    std::set<uint64_t> seen;
+  QueryPool(const Stack& s, uint64_t seed) : stack_(s), seed_(seed) {
     offsets_.push_back(0);
-    for (uint64_t chunk = 0; size() < count; ++chunk) {
-      if (chunk > count) Die("could not generate enough distinct queries");
+  }
+  size_t size() const { return offsets_.size() - 1; }
+  Query Get(size_t i) const {
+    return Query(terms_.begin() + static_cast<std::ptrdiff_t>(offsets_[i]),
+                 terms_.begin() + static_cast<std::ptrdiff_t>(offsets_[i + 1]));
+  }
+  void GrowTo(size_t count) {
+    while (size() < count) {
+      if (chunk_ > 64 + count / 64) Die("could not generate enough distinct queries");
       corpus::WorkloadParams params;
       params.num_queries = 4096;
-      params.seed = DeriveSeed(DeriveSeed(a.seed, stream), chunk);
-      corpus::WorkloadGenerator gen(s.fixture->corpus(), s.fixture->ground_truth(),
-                                    params);
+      params.seed = DeriveSeed(seed_, chunk_++);
+      corpus::WorkloadGenerator gen(stack_.fixture->corpus(),
+                                    stack_.fixture->ground_truth(), params);
       for (const corpus::BenchmarkQuery& q : gen.Generate()) {
-        if (q.term_ids.empty() ||
-            !seen.insert(HashQuery(util::kFnv1aOffsetBasis, q.term_ids)).second) {
+        if (!seen_.insert(HashQuery(util::kFnv1aOffsetBasis, q.term_ids)).second) {
           continue;
         }
         terms_.insert(terms_.end(), q.term_ids.begin(), q.term_ids.end());
         offsets_.push_back(terms_.size());
-        if (size() == count) break;
       }
     }
   }
-  size_t size() const { return offsets_.size() - 1; }
-  // Query i (mod size) copied out.
-  Query Get(size_t i) const {
-    i %= size();
-    return Query(terms_.begin() + static_cast<std::ptrdiff_t>(offsets_[i]),
-                 terms_.begin() + static_cast<std::ptrdiff_t>(offsets_[i + 1]));
+  // Grows the pool so that at least kPoolMargin * rate_per_s * seconds
+  // queries, and `floor` more, remain after query `next`.
+  void Reserve(size_t next, double rate_per_s, double seconds, size_t floor) {
+    GrowTo(next + floor + static_cast<size_t>(kPoolMargin * rate_per_s * seconds));
   }
 
  private:
+  const Stack& stack_;
+  const uint64_t seed_;
+  uint64_t chunk_ = 0;
+  std::set<uint64_t> seen_;
   std::vector<text::TermId> terms_;
   std::vector<size_t> offsets_;
 };
@@ -774,7 +818,8 @@ void EndTrace(Stack& s, Layers& L) {
 
 struct ClosedStats {
   uint64_t cycles = 0, queries = 0, ghosts = 0, met = 0;
-  double exposure = 0, protect_s = 0;
+  double exposure = 0, protect_s = 0, wall_s = 0;
+  bool ran_out = false;
   Events* events = nullptr;  // one per cycle
 };
 
@@ -785,6 +830,8 @@ void Accumulate(ClosedStats& into, const ClosedStats& x) {
   into.met += x.met;
   into.exposure += x.exposure;
   into.protect_s += x.protect_s;
+  into.wall_s += x.wall_s;
+  into.ran_out = into.ran_out || x.ran_out;
 }
 
 // One user session of the benchmark's own closed loop: the serving path
@@ -792,25 +839,25 @@ void Accumulate(ClosedStats& into, const ClosedStats& x) {
 // Protect then Evaluate for each query) with a clock around each cycle.
 // Returns false if the deadline cut the session short (digest unusable).
 bool RunClosedSession(const Args& a, const Stack& s, const QueryPool& pool,
-                      size_t session, size_t cycles_per_session,
-                      Clock::time_point start, Clock::time_point deadline, bool bounded,
-                      ClosedStats* st, uint64_t* digest) {
+                      size_t session, Clock::time_point start,
+                      Clock::time_point deadline, bool bounded, ClosedStats* st,
+                      uint64_t* digest) {
+  const size_t L = kClosedCyclesPerSession;
   util::Rng rng = util::Rng(DeriveSeed(a.seed, 2)).Fork(session);
   core::SessionOptions opts;
   opts.generator.shared_topic_cdfs = s.cdfs.get();
   core::SessionProtector protector(*s.model, *s.inferencer, core::PrivacySpec(),
                                    opts);
-  const size_t k = a.U("top_k");
   uint64_t h = util::kFnv1aOffsetBasis;
-  for (size_t c = 0; c < cycles_per_session; ++c) {
+  for (size_t c = 0; c < L; ++c) {
     const Clock::time_point t0 = Clock::now();
     if (bounded && t0 >= deadline) return false;
-    const Query q = pool.Get(session * cycles_per_session + c);
+    const Query q = pool.Get(session * L + c);
     core::QueryCycle cycle = protector.Protect(q, &rng);
     const Clock::time_point t1 = Clock::now();
     h = util::Fnv1aStep(h, cycle.user_index);
     for (const Query& sub : cycle.queries) {
-      h = HashResults(HashQuery(h, sub), s.timed->Evaluate(sub, k));
+      h = HashResults(HashQuery(h, sub), s.timed->Evaluate(sub, kTopK));
     }
     const Clock::time_point t2 = Clock::now();
     st->events->Add(Seconds(start, t0), Seconds(t0, t2), 1,
@@ -829,13 +876,12 @@ bool RunClosedSession(const Args& a, const Stack& s, const QueryPool& pool,
 // Runs sessions [first, first + count) — or, if seconds > 0, sessions from
 // `first` on until the deadline — on `threads`, thread t recording its
 // cycles into events[t]. Per-thread stats are merged; without a deadline
-// digests[i] is session first + i's digest.
+// digests[i] is session first + i's digest. A session needs its queries in
+// the pool; a thread that finds none left sets `ran_out` and stops.
 ClosedStats RunClosed(const Args& a, const Stack& s, const QueryPool& queries,
                       util::ThreadPool& threads, size_t first, size_t count,
                       double seconds, std::vector<Events>& events,
-                      std::vector<uint64_t>* digests, double* wall_s,
-                      size_t* next_out = nullptr) {
-  const size_t L = a.U("closed_cycles_per_session");
+                      std::vector<uint64_t>* digests, size_t* next_out = nullptr) {
   const size_t nthreads = threads.num_threads();
   std::vector<ClosedStats> per(nthreads);
   for (size_t t = 0; t < nthreads; ++t) {
@@ -844,109 +890,120 @@ ClosedStats RunClosed(const Args& a, const Stack& s, const QueryPool& queries,
   }
   std::atomic<size_t> next{first};
   const bool bounded = seconds > 0.0;
-  const size_t end = bounded ? SIZE_MAX : first + count;
+  const size_t in_pool = queries.size() / kClosedCyclesPerSession;
+  const size_t end = bounded ? in_pool : std::min(in_pool, first + count);
   digests->assign(bounded ? 0 : count, 0);
   const Clock::time_point start = Clock::now();
   const Clock::time_point deadline =
       start + std::chrono::nanoseconds(static_cast<int64_t>(seconds * 1e9));
   threads.ParallelFor(nthreads, [&](size_t t) {
     for (;;) {
+      if (bounded && Clock::now() >= deadline) return;
       const size_t sid = next.fetch_add(1);
-      if (sid >= end) return;
+      if (sid >= end) {
+        per[t].ran_out = bounded || sid < first + count;
+        return;
+      }
       uint64_t d = 0;
       const bool done =
-          RunClosedSession(a, s, queries, sid, L, start, deadline, bounded, &per[t], &d);
+          RunClosedSession(a, s, queries, sid, start, deadline, bounded, &per[t], &d);
       if (!bounded) (*digests)[sid - first] = d;
       if (bounded && !done) return;
     }
   });
-  *wall_s = Seconds(start, Clock::now());
-  if (next_out != nullptr) *next_out = next.load();
+  if (next_out != nullptr) *next_out = std::min(next.load(), end);
   ClosedStats all;
   for (ClosedStats& p : per) Accumulate(all, p);
+  all.wall_s = Seconds(start, Clock::now());
   return all;
 }
 
 void ProtectClosed(const Args& a, Stack& s, Result& r) {
-  const size_t L = a.U("closed_cycles_per_session");
-  const size_t warm_sessions = a.U("closed_warmup_sessions");
-  // Enough distinct queries for every window of the run at up to
-  // `closed_max_cycles_per_s`; running out fails the run.
-  const size_t max_sessions =
-      warm_sessions + static_cast<size_t>(a.D("closed_max_cycles_per_s") * a.seconds *
-                                          (a.trace ? 2 : 1)) / L;
-  const QueryPool queries(a, s, max_sessions * L, 3);
-  util::ThreadPool threads(a.U("closed_threads"));
-  std::vector<Events> events(threads.num_threads(), Events(50000));
-
-  // Warm-up: a fixed set of sessions; its outputs are the fixed-set checks.
+  const size_t L = kClosedCyclesPerSession;
+  const uint64_t pool_seed = DeriveSeed(a.seed, 3);
+  const double slice_s = a.seconds / static_cast<double>(kSlices);
+  util::ThreadPool threads(kClosedThreads);
   std::vector<uint64_t> warm_digests;
-  double wall = 0;
-  ClosedStats warm = RunClosed(a, s, queries, threads, 0, warm_sessions, 0.0,
-                               events, &warm_digests, &wall);
   Layers layers;
-  layers.fixed_cycles = static_cast<double>(warm.cycles);
-  layers.fixed_queries = static_cast<double>(warm.queries);
-  layers.fixed_met = static_cast<double>(warm.met);
-  layers.fixed_exposure = warm.exposure;
+  bool ran_out = false;
+  {
+    QueryPool queries(s, pool_seed);
+    queries.GrowTo(kClosedWarmupSessions * L);
+    std::vector<Events> events(threads.num_threads());
 
-  // Window: `slices` slices of distinct sessions after the warm-up set,
-  // each slice reported on its own (see Medians).
-  const size_t K = a.U("slices");
-  const double slice_s = a.seconds / static_cast<double>(K);
-  size_t next = warm_sessions;
-  std::vector<uint64_t> unused;
-  struct Pass {
-    std::vector<WindowFigures> slices;
-    ClosedStats total;
-    double cycle_s = 0;
-  };
-  auto measure = [&] {
-    Pass p;
-    for (size_t i = 0; i < K; ++i) {
-      Accumulate(p.total, RunClosed(a, s, queries, threads, next, 0, slice_s, events,
-                                    &unused, &wall, &next));
-      p.slices.push_back(SliceFigures(Events::Merge(events), slice_s));
-      for (const Events& t : events) p.cycle_s += t.Seconds();
+    // Warm-up: a fixed set of sessions; its outputs are the fixed-set checks.
+    const ClosedStats warm = RunClosed(a, s, queries, threads, 0, kClosedWarmupSessions,
+                                       0.0, events, &warm_digests);
+    ran_out = warm.ran_out;
+    layers.fixed_cycles = static_cast<double>(warm.cycles);
+    layers.fixed_queries = static_cast<double>(warm.queries);
+    layers.fixed_met = static_cast<double>(warm.met);
+    layers.fixed_exposure = warm.exposure;
+
+    // Window: kSlices slices of distinct sessions after the warm-up set,
+    // each slice reported on its own (see Medians). Before each slice the
+    // pool makes room for the fastest rate seen so far (see QueryPool).
+    double fastest = Ratio(static_cast<double>(warm.cycles), warm.wall_s);
+    size_t next = kClosedWarmupSessions;
+    std::vector<uint64_t> unused;
+    struct Pass {
+      std::vector<WindowFigures> slices;
+      ClosedStats total;
+      double cycle_s = 0;
+    };
+    auto measure = [&] {
+      Pass p;
+      for (size_t i = 0; i < kSlices; ++i) {
+        queries.Reserve(next * L, fastest, slice_s, threads.num_threads() * L);
+        const ClosedStats st =
+            RunClosed(a, s, queries, threads, next, 0, slice_s, events, &unused, &next);
+        ran_out = ran_out || st.ran_out;
+        Accumulate(p.total, st);
+        p.slices.push_back(SliceFigures(Events::Merge(events), slice_s));
+        fastest = std::max(fastest, p.slices.back().cycles_per_s);
+        for (const Events& t : events) p.cycle_s += t.Seconds();
+      }
+      return p;
+    };
+    const Pass run = measure();
+    const WindowFigures f = Medians(run.slices);
+    if (!a.trace) {
+      r.attempted = run.total.cycles;
+      r.Add("cycles_per_s", f.cycles_per_s, "cycles/s");
+      r.Add("engine_qps", f.queries_per_s, "queries/s");
+      r.Add("latency_p50_ms", 1e3 * f.p50_s, "ms");
+      r.Add("latency_tail_ms", 1e3 * f.tail_s, "ms");
+      r.Add("served_frac", 1.0, "share");
+      r.Note(SliceNote(run.slices));
+      r.Note("distinct genuine queries generated: " + std::to_string(queries.size()));
+    } else {
+      BeginTrace(s);
+      const Pass traced = measure();
+      EndTrace(s, layers);
+      r.attempted = traced.total.cycles;
+      layers.cycles = static_cast<double>(traced.total.cycles);
+      layers.ghosts = static_cast<double>(traced.total.ghosts);
+      layers.protect_s = traced.total.protect_s;
+      layers.cycle_s = traced.cycle_s;
+      layers.untraced_rate = f.cycles_per_s;
+      layers.traced_rate = Medians(traced.slices).cycles_per_s;
+      AddLayerMetrics(s, layers, r);
     }
-    return p;
-  };
-  const Pass run = measure();
-  r.rss_mb = RssMb();
-  const WindowFigures f = Medians(run.slices);
-  if (!a.trace) {
-    r.attempted = run.total.cycles;
-    r.Add("cycles_per_s", f.cycles_per_s, "cycles/s");
-    r.Add("engine_qps", f.queries_per_s, "queries/s");
-    r.Add("latency_p50_ms", 1e3 * f.p50_s, "ms");
-    r.Add("latency_tail_ms", 1e3 * f.p99_s, "ms");
-    r.Add("served_frac", 1.0, "share");
-    r.Note(SliceNote(run.slices));
-  } else {
-    BeginTrace(s);
-    const Pass traced = measure();
-    EndTrace(s, layers);
-    r.attempted = traced.total.cycles;
-    layers.cycles = static_cast<double>(traced.total.cycles);
-    layers.ghosts = static_cast<double>(traced.total.ghosts);
-    layers.protect_s = traced.total.protect_s;
-    layers.cycle_s = traced.cycle_s;
-    layers.untraced_rate = f.cycles_per_s;
-    layers.traced_rate = Medians(traced.slices).cycles_per_s;
-    AddLayerMetrics(s, layers, r);
-  }
-
-  if (next > max_sessions) r.Check(false, "closed loop ran out of distinct queries");
+  }  // the query pool and event buffers are freed here
+  if (!a.trace) r.rss_mb = RssMb();
+  r.Check(!ran_out, "the query pool held every session the window started");
 
   // Checks (untimed). The benchmark loop: the first sessions recomputed on
   // one thread give the warm-up's digests. The product path:
   // SessionDriver::Run gives identical per-session digests at 1 and at 4
   // workers, and identical again on a repeat.
-  const size_t nc = std::min<size_t>(warm_sessions, a.U("closed_check_sessions"));
+  const size_t nc = std::min(kClosedWarmupSessions, kClosedCheckSessions);
+  QueryPool queries(s, pool_seed);
+  queries.GrowTo(nc * L);
   util::ThreadPool one(1);
   std::vector<uint64_t> seq_digests;
-  std::vector<Events> one_events(1, Events(nc * L));
-  RunClosed(a, s, queries, one, 0, nc, 0.0, one_events, &seq_digests, &wall);
+  std::vector<Events> one_events(1);
+  RunClosed(a, s, queries, one, 0, nc, 0.0, one_events, &seq_digests);
   bool same = true;
   for (size_t i = 0; i < nc; ++i) same = same && seq_digests[i] == warm_digests[i];
   r.Check(same, "benchmark-loop session digests equal at 1 and " +
@@ -1011,14 +1068,14 @@ std::vector<serving::SessionWorkload> PaperSessions(const Args& a, Stack& s,
   return serving::DealSessions(qs, num_sessions);
 }
 
-serving::OpenLoopOptions OpenOpts(const Args& a, double rate, double seconds) {
+serving::OpenLoopOptions OpenOpts(double rate, double seconds) {
   serving::OpenLoopOptions o;
   o.arrival_qps = rate;
   o.num_arrivals = std::max<size_t>(1, static_cast<size_t>(rate * seconds));
-  o.deadline_seconds = a.D("open_deadline_ms") / 1e3;
-  o.admission.max_in_flight = a.U("open_workers");
-  o.admission.max_queue_depth = a.U("open_queue_depth");
-  o.admission.degraded_watermark = a.D("open_degraded_watermark");
+  o.deadline_seconds = kOpenDeadlineMs / 1e3;
+  o.admission.max_in_flight = kOpenWorkers;
+  o.admission.max_queue_depth = kOpenQueueDepth;
+  o.admission.degraded_watermark = kOpenDegradedWatermark;
   return o;
 }
 
@@ -1040,16 +1097,16 @@ struct OpenPoint {
            peak_queue = 0;
 };
 
-OpenPoint MeasureRate(const Args& a, Stack& s,
+OpenPoint MeasureRate(Stack& s,
                       const std::vector<serving::SessionWorkload>& sessions,
                       double rate, size_t windows, double seconds) {
-  const double deadline_ms = a.D("open_deadline_ms");
+  const double deadline_ms = kOpenDeadlineMs;
   OpenPoint pt;
   std::vector<double> p50, p99, miss, qps;
   for (size_t w = 0; w < windows; ++w) {
     s.timed->TakeCount();
     const serving::OpenLoopReport rep =
-        s.driver->RunOpenLoop(sessions, OpenOpts(a, rate, seconds));
+        s.driver->RunOpenLoop(sessions, OpenOpts(rate, seconds));
     const uint64_t evaluations = s.timed->TakeCount();
     const double mf = Ratio(Misses(rep), static_cast<double>(rep.arrivals));
     p50.push_back(mf > 0.5 ? deadline_ms : 1e3 * rep.p50_latency_seconds);
@@ -1071,44 +1128,62 @@ OpenPoint MeasureRate(const Args& a, Stack& s,
 }
 
 void ProtectOpen(const Args& a, Stack& s, Result& r) {
-  const auto sessions = PaperSessions(a, s, a.U("open_sessions"));
-  const double nominal = a.D("open_nominal_rate");
-  // The nominal phase takes `open_nominal_share` of the run's seconds, as
-  // `open_nominal_windows` RunOpenLoop calls; the ladder rungs follow.
-  const size_t windows = a.U("open_nominal_windows");
-  const double window_s = a.D("open_nominal_share") * a.seconds / static_cast<double>(windows);
-  s.driver->RunOpenLoop(sessions, OpenOpts(a, nominal, a.D("open_warmup_s")));
+  const auto sessions = PaperSessions(a, s, kOpenSessions);
+  const double nominal = kOpenNominalRate;
+  // The nominal phase takes half of the run's seconds, as kOpenNominalCalls
+  // RunOpenLoop calls; the ladder rungs follow.
+  const size_t windows = kOpenNominalCalls;
+  const double window_s = 0.5 * a.seconds / static_cast<double>(windows);
+  s.driver->RunOpenLoop(sessions, OpenOpts(nominal, kOpenWarmupS));
 
   Layers layers;
   if (!a.trace) {
-    const OpenPoint nom = MeasureRate(a, s, sessions, nominal, windows, window_s);
+    const OpenPoint nom = MeasureRate(s, sessions, nominal, windows, window_s);
     r.rss_mb = RssMb();
     r.attempted = nom.arrivals;
     r.failed = nom.misses;
-    // Ladder: fixed absolute rates, low to high, up to the first rung that
-    // misses the SLO (p99 within the limit and at most the allowed share
-    // missed). The capacity interpolates log p99 between the last passing
-    // rung and the failing one.
-    const double limit = a.D("slo_p99_ms");
-    double best = 0.0, best_p99 = 0.0;
+    // Ladder of fixed absolute rates, a factor kOpenLadderStep apart, from
+    // kOpenLadderStart: up while rungs meet the SLO (p99 within the limit
+    // and at most the allowed share missed), down while they miss it, and
+    // stopped at the first rung on the other side. A rung misses only if a
+    // second measurement of it misses too, so that one slow spell of the
+    // shared host does not end the walk early. The capacity interpolates
+    // log p99 between the passing and the failing rung.
+    const double limit = kSloP99Ms;
+    double pass = 0.0, pass_p99 = 0.0, fail = 0.0, fail_p99 = 0.0;
+    double rate = kOpenLadderStart;
     std::string rungs;
-    for (double rate : a.List("open_ladder_rates")) {
-      const OpenPoint pt = MeasureRate(a, s, sessions, rate, a.U("open_ladder_windows"),
-                                       a.D("open_ladder_window_s"));
-      const bool ok = pt.miss_frac <= a.D("slo_max_failed_frac") && pt.p99_ms <= limit;
-      rungs += " " + Fmt("%.0f", rate) + ":" + Fmt("%.2f", pt.p99_ms) + "ms/" +
-               Fmt("%.3f", pt.miss_frac) + (ok ? "" : "(miss)");
+    const Clock::time_point ladder_start = Clock::now();
+    for (;;) {
+      if (Seconds(ladder_start, Clock::now()) > kOpenLadderBudgetS) {
+        rungs += " (time budget reached)";
+        break;
+      }
+      OpenPoint pt;
+      bool ok = false;
+      for (int attempt = 0; attempt < 2 && !ok; ++attempt) {
+        pt = MeasureRate(s, sessions, rate, kOpenLadderCalls, kOpenLadderCallS);
+        ok = pt.miss_frac <= kSloMaxMissedFrac && pt.p99_ms <= limit;
+        rungs += " " + Fmt("%.0f", rate) + ":" + Fmt("%.2f", pt.p99_ms) + "ms/" +
+                 Fmt("%.3f", pt.miss_frac) + (ok ? "" : "(miss)");
+      }
       if (ok) {
-        best = rate;
-        best_p99 = pt.p99_ms;
-        continue;
+        pass = rate;
+        pass_p99 = pt.p99_ms;
+        if (fail > 0.0) break;
+        rate *= kOpenLadderStep;
+      } else {
+        fail = rate;
+        fail_p99 = std::max(pt.p99_ms, limit);
+        if (pass > 0.0) break;
+        rate /= kOpenLadderStep;
       }
-      if (best > 0.0 && best_p99 > 0.0) {
-        const double f = (std::log(limit) - std::log(best_p99)) /
-                         (std::log(std::max(pt.p99_ms, limit)) - std::log(best_p99));
-        best += std::clamp(f, 0.0, 1.0) * (rate - best);
-      }
-      break;
+    }
+    double best = pass;
+    if (pass > 0.0 && fail > 0.0 && pass_p99 > 0.0 && fail_p99 > pass_p99) {
+      const double f =
+          (std::log(limit) - std::log(pass_p99)) / (std::log(fail_p99) - std::log(pass_p99));
+      best += std::clamp(f, 0.0, 1.0) * (fail - pass);
     }
     r.Note("open-loop ladder (rate:p99/miss share):" + rungs);
     r.Note("nominal " + Fmt("%.0f", nominal) + "/s: arrivals " +
@@ -1122,11 +1197,11 @@ void ProtectOpen(const Args& a, Stack& s, Result& r) {
     r.Add("latency_tail_ms", nom.p99_ms, "ms");
     r.Add("served_frac", 1.0 - nom.miss_frac, "share");
   } else {
-    const OpenPoint plain = MeasureRate(a, s, sessions, nominal, windows, window_s);
+    const OpenPoint plain = MeasureRate(s, sessions, nominal, windows, window_s);
     util::TraceSink sink(static_cast<size_t>(nominal * window_s * windows * 12 + 1024));
     BeginTrace(s);
     util::TraceSink::SetGlobal(&sink);
-    const OpenPoint traced = MeasureRate(a, s, sessions, nominal, windows, window_s);
+    const OpenPoint traced = MeasureRate(s, sessions, nominal, windows, window_s);
     util::TraceSink::SetGlobal(nullptr);
     EndTrace(s, layers);
     r.attempted = traced.arrivals;
@@ -1178,11 +1253,11 @@ struct ReplayStats {
 // Replays `cycles` (each the v queries of one protected cycle) closed loop
 // on `threads`: `passes` full passes, or until the deadline if seconds > 0.
 // Every result is checked against the sequential reference hashes.
-ReplayStats Replay(const Args& a, Stack& s, util::ThreadPool& threads,
+ReplayStats Replay(Stack& s, util::ThreadPool& threads,
                    const std::vector<std::vector<Query>>& cycles,
                    const std::vector<std::vector<uint64_t>>& ref, size_t passes,
                    double seconds, std::vector<Events>& events, size_t* cursor) {
-  const size_t k = a.U("top_k");
+  const size_t k = kTopK;
   const size_t n = threads.num_threads();
   std::vector<ReplayStats> per(n);
   for (Events& e : events) e.Clear();
@@ -1224,25 +1299,25 @@ ReplayStats Replay(const Args& a, Stack& s, util::ThreadPool& threads,
 void EngineReplay(const Args& a, Stack& s, Result& r) {
   // Input: the engine-visible stream of the dealt paper sessions, protected
   // once here (untimed), with a sequential reference pass on the engine.
-  const auto sessions = PaperSessions(a, s, a.U("replay_sessions"));
+  const auto sessions = PaperSessions(a, s, kReplaySessions);
   Layers layers;
   std::vector<std::vector<Query>> cycles;
-  FixedSetOutputs(a, s, sessions, a.U("replay_rounds"), layers, &cycles);
+  FixedSetOutputs(a, s, sessions, kReplayRounds, layers, &cycles);
   std::vector<std::vector<uint64_t>> ref(cycles.size());
   for (size_t c = 0; c < cycles.size(); ++c) {
     for (const Query& q : cycles[c]) {
       ref[c].push_back(HashResults(util::kFnv1aOffsetBasis,
-                                   s.engine->Evaluate(q, a.U("top_k"))));
+                                   s.engine->Evaluate(q, kTopK)));
     }
   }
-  util::ThreadPool threads(a.U("replay_threads"));
-  std::vector<Events> events(threads.num_threads(), Events(100000));
+  util::ThreadPool threads(kReplayThreads);
+  std::vector<Events> events(threads.num_threads());
   size_t cursor = 0;
-  uint64_t mismatches = Replay(a, s, threads, cycles, ref, a.U("replay_warmup_passes"),
+  uint64_t mismatches = Replay(s, threads, cycles, ref, kReplayWarmupPasses,
                                0.0, events, &cursor)
                             .mismatches;
-  // Window: `slices` slices (see Medians).
-  const size_t K = a.U("slices");
+  // Window: kSlices slices (see Medians).
+  const size_t K = kSlices;
   const double slice_s = a.seconds / static_cast<double>(K);
   struct Pass {
     std::vector<WindowFigures> slices;
@@ -1251,7 +1326,7 @@ void EngineReplay(const Args& a, Stack& s, Result& r) {
   auto measure = [&] {
     Pass p;
     for (size_t i = 0; i < K; ++i) {
-      const ReplayStats st = Replay(a, s, threads, cycles, ref, 0, slice_s, events, &cursor);
+      const ReplayStats st = Replay(s, threads, cycles, ref, 0, slice_s, events, &cursor);
       p.slices.push_back(SliceFigures(Events::Merge(events), slice_s));
       p.total.cycles += st.cycles;
       p.total.queries += st.queries;
@@ -1262,16 +1337,17 @@ void EngineReplay(const Args& a, Stack& s, Result& r) {
   };
   const Pass run = measure();
   mismatches += run.total.mismatches;
-  r.rss_mb = RssMb();
   const WindowFigures f = Medians(run.slices);
   if (!a.trace) {
     r.attempted = run.total.queries;
     r.Add("cycles_per_s", f.cycles_per_s, "cycles/s");
     r.Add("engine_qps", f.queries_per_s, "queries/s");
     r.Add("latency_p50_ms", 1e3 * f.p50_s, "ms");
-    r.Add("latency_tail_ms", 1e3 * f.p99_s, "ms");
+    r.Add("latency_tail_ms", 1e3 * f.tail_s, "ms");
     r.Add("served_frac", 1.0, "share");
     r.Note(SliceNote(run.slices));
+    std::vector<Events>().swap(events);  // sized by the measured rate
+    r.rss_mb = RssMb();
   } else {
     BeginTrace(s);
     const Pass traced = measure();
@@ -1300,9 +1376,9 @@ struct WriterStats {
 // batches, batch i due at start + i * batch / rate. Each batch is
 // IngestChecked (a kPerBatch WAL sync) and then Refresh()ed; its latency
 // runs from its due time to Refresh's return.
-void Write(const Args& a, Stack& s, size_t begin, size_t end, double rate,
+void Write(Stack& s, size_t begin, size_t end, double rate,
            Clock::time_point start, WriterStats* w) {
-  const size_t batch = a.U("live_batch_docs");
+  const size_t batch = kLiveBatchDocs;
   const corpus::Corpus& corpus = s.fixture->corpus();
   std::vector<Query> docs;
   for (size_t d = begin, i = 0; d < end; d += batch, ++i) {
@@ -1331,17 +1407,23 @@ void Write(const Args& a, Stack& s, size_t begin, size_t end, double rate,
 struct ReadStats {
   uint64_t cycles = 0, queries = 0, ghosts = 0, met = 0;
   double exposure = 0, protect_s = 0, wall_s = 0;
+  bool ran_out = false;
 };
 
 // Reader side: SessionDriver::Run over successive batches of sessions
-// while `writing` holds (at least one batch).
-ReadStats Read(const Args& a, Stack& s, const QueryPool& pool,
-               size_t* next_batch, const std::atomic<bool>& writing) {
-  const size_t per = a.U("live_sessions_per_batch");
-  const size_t L = a.U("live_cycles_per_session");
+// while `writing` holds (at least one batch), or until the pool has no
+// batch left (`ran_out`).
+ReadStats Read(Stack& s, const QueryPool& pool, size_t* next_batch,
+               const std::atomic<bool>& writing) {
+  const size_t per = kLiveSessionsPerBatch;
+  const size_t L = kLiveCyclesPerSession;
   ReadStats st;
   const Clock::time_point start = Clock::now();
   do {
+    if ((*next_batch + 1) * per * L > pool.size()) {
+      st.ran_out = true;
+      break;
+    }
     std::vector<serving::SessionWorkload> sessions(per);
     for (size_t i = 0; i < per; ++i) {
       for (size_t c = 0; c < L; ++c) {
@@ -1365,7 +1447,7 @@ ReadStats Read(const Args& a, Stack& s, const QueryPool& pool,
 
 // One mixed window: the writer streams [begin, end) at `rate` while the
 // readers run; returns reader and writer stats.
-std::pair<ReadStats, WriterStats> MixedWindow(const Args& a, Stack& s,
+std::pair<ReadStats, WriterStats> MixedWindow(Stack& s,
                                               const QueryPool& pool,
                                               size_t* next_batch, size_t begin,
                                               size_t end, double rate) {
@@ -1373,18 +1455,18 @@ std::pair<ReadStats, WriterStats> MixedWindow(const Args& a, Stack& s,
   std::atomic<bool> writing{true};
   const Clock::time_point start = Clock::now();
   std::thread writer([&] {
-    Write(a, s, begin, end, rate, start, &w);
+    Write(s, begin, end, rate, start, &w);
     writing.store(false);
   });
-  ReadStats rd = Read(a, s, pool, next_batch, writing);
+  ReadStats rd = Read(s, pool, next_batch, writing);
   writer.join();
   return {rd, w};
 }
 
-uint64_t PaperDigest(const Args& a, Stack& s, const search::QueryEngine& engine) {
+uint64_t PaperDigest(Stack& s, const search::QueryEngine& engine) {
   uint64_t h = util::kFnv1aOffsetBasis;
   for (const corpus::BenchmarkQuery& q : s.fixture->workload()) {
-    h = HashResults(h, engine.Evaluate(q.term_ids, a.U("top_k")));
+    h = HashResults(h, engine.Evaluate(q.term_ids, kTopK));
   }
   return h;
 }
@@ -1392,25 +1474,29 @@ uint64_t PaperDigest(const Args& a, Stack& s, const search::QueryEngine& engine)
 void LiveMixed(const Args& a, Stack& s, Result& r) {
   const size_t total = s.fixture->corpus().num_documents();
   const size_t upfront = s.upfront_docs;
-  if (upfront >= total) Die("live_upfront_docs leaves no corpus tail");
-  const size_t per = a.U("live_sessions_per_batch");
-  const size_t L = a.U("live_cycles_per_session");
-  const QueryPool pool(a, s, a.U("live_pool_batches") * per * L, 5);
+  const size_t batch_queries = kLiveSessionsPerBatch * kLiveCyclesPerSession;
+  auto pool = std::make_unique<QueryPool>(s, DeriveSeed(a.seed, 5));
   const double rate = static_cast<double>(total - upfront) / a.seconds;
+  const double slice_s = a.seconds / static_cast<double>(kSlices);
+  bool ran_out = false;
 
   // Warm-up: one reader batch before any write; its outputs are the
   // fixed-set checks.
   size_t next_batch = 0;
   std::atomic<bool> idle{false};
-  const ReadStats warm = Read(a, s, pool, &next_batch, idle);
+  pool->GrowTo(batch_queries);
+  const ReadStats warm = Read(s, *pool, &next_batch, idle);
+  double fastest = Ratio(static_cast<double>(warm.cycles), warm.wall_s);
   Layers layers;
   layers.fixed_cycles = static_cast<double>(warm.cycles);
   layers.fixed_queries = static_cast<double>(warm.queries);
   layers.fixed_met = static_cast<double>(warm.met);
   layers.fixed_exposure = warm.exposure;
 
-  // Window: the corpus tail in `slices` slices at the fixed write rate.
-  const size_t K = a.U("slices");
+  // Window: the corpus tail in kSlices slices at the fixed write rate. A
+  // slice's latency figures are its write p50 and p90 (120 writes a slice,
+  // so ten or more lie beyond the p90), reported as medians over slices.
+  const size_t K = kSlices;
   struct Pass {
     std::vector<WindowFigures> slices;
     std::vector<double> write_latency_s;
@@ -1422,10 +1508,16 @@ void LiveMixed(const Args& a, Stack& s, Result& r) {
     for (size_t i = 0; i < K; ++i) {
       const size_t begin = upfront + (total - upfront) * i / K;
       const size_t end = upfront + (total - upfront) * (i + 1) / K;
+      // Room for the fastest reader rate so far (see QueryPool), and for the
+      // batch in flight when the writer finishes.
+      pool->Reserve(next_batch * batch_queries, fastest, slice_s, 2 * batch_queries);
       const auto [rd, wr] =
-          MixedWindow(a, s, pool, &next_batch, begin, end, rate);
+          MixedWindow(s, *pool, &next_batch, begin, end, rate);
+      ran_out = ran_out || rd.ran_out;
       p.slices.push_back({Ratio(static_cast<double>(rd.cycles), rd.wall_s),
-                          Ratio(static_cast<double>(rd.queries), rd.wall_s), 0, 0});
+                          Ratio(static_cast<double>(rd.queries), rd.wall_s),
+                          Percentile(wr.latency_s, 0.50), Percentile(wr.latency_s, 0.90)});
+      fastest = std::max(fastest, p.slices.back().cycles_per_s);
       p.write_latency_s.insert(p.write_latency_s.end(), wr.latency_s.begin(),
                                wr.latency_s.end());
       p.reads.cycles += rd.cycles;
@@ -1442,7 +1534,10 @@ void LiveMixed(const Args& a, Stack& s, Result& r) {
     return p;
   };
   Pass run = measure();
-  r.rss_mb = RssMb();
+  if (!a.trace) {
+    pool.reset();  // the benchmark's input, sized by the measured rate
+    r.rss_mb = RssMb();
+  }
   const WindowFigures f = Medians(run.slices);
   uint64_t acked = run.writes.docs_acked;
   r.failed = run.writes.docs_attempted - run.writes.docs_acked;
@@ -1450,8 +1545,8 @@ void LiveMixed(const Args& a, Stack& s, Result& r) {
     r.attempted = run.reads.cycles + run.writes.docs_attempted;
     r.Add("cycles_per_s", f.cycles_per_s, "cycles/s");
     r.Add("engine_qps", f.queries_per_s, "queries/s");
-    r.Add("latency_p50_ms", 1e3 * Percentile(run.write_latency_s, 0.50), "ms");
-    r.Add("latency_tail_ms", 1e3 * Percentile(run.write_latency_s, 0.90), "ms");
+    r.Add("latency_p50_ms", 1e3 * f.p50_s, "ms");
+    r.Add("latency_tail_ms", 1e3 * f.tail_s, "ms");
     r.Add("served_frac",
           1.0 - Ratio(static_cast<double>(r.failed), static_cast<double>(r.attempted)),
           "share");
@@ -1469,7 +1564,8 @@ void LiveMixed(const Args& a, Stack& s, Result& r) {
     s.timed->set_inner(nullptr);
     OpenLive(a, s);
     s.timed->set_inner(s.live_engine.get());
-    Read(a, s, pool, &next_batch, idle);
+    pool->Reserve(next_batch * batch_queries, 0.0, 0.0, batch_queries);
+    Read(s, *pool, &next_batch, idle);
     const uint64_t wal_before = DirBytes(WalDir(a));
     BeginTrace(s);
     const Pass traced = measure();
@@ -1492,30 +1588,31 @@ void LiveMixed(const Args& a, Stack& s, Result& r) {
     AddLayerMetrics(s, layers, r);
   }
 
+  r.Check(!ran_out, "the query pool held every reader batch the window started");
   // Checks (untimed): every acked write is visible, the converged live
   // engine answers the paper workload exactly as the static engine, and so
   // does an index recovered from this run's WAL.
   s.live->WaitForMerges();
   s.live->Refresh();
-  const uint64_t want = PaperDigest(a, s, *s.engine);
+  const uint64_t want = PaperDigest(s, *s.engine);
   acked += upfront;
   r.Check(acked == total && s.live->Acquire()->num_documents() == acked,
           "all " + std::to_string(acked) + " acked documents visible after Refresh");
-  r.Check(PaperDigest(a, s, *s.live_engine) == want,
+  r.Check(PaperDigest(s, *s.live_engine) == want,
           "converged live engine digest equals the static engine's");
   s.driver.reset();
   s.timed.reset();
   s.live_engine.reset();
   s.live.reset();
   auto recovered = index::live::LiveIndex::Recover(util::GetRealFileSystem(),
-                                                   WalDir(a), LiveOptions(a));
+                                                   WalDir(a), LiveOptions());
   bool recovered_ok = recovered.ok();
   if (recovered_ok) {
     search::LiveSearchEngine engine(s.fixture->corpus(), **recovered,
                                     search::MakeBm25Scorer(),
                                     search::EvalStrategy::kTAAT);
     recovered_ok = (*recovered)->Acquire()->num_documents() == total &&
-                   PaperDigest(a, s, engine) == want;
+                   PaperDigest(s, engine) == want;
   }
   r.Check(recovered_ok, "index recovered from the run's WAL gives the same digest");
 }
@@ -1529,16 +1626,22 @@ int main(int argc, char** argv) {
   // timed set-up below loads it.
   {
     experiments::ExperimentFixture prime(MakeFixtureConfig(a));
-    prime.model(a.U("lda_topics"));
+    prime.model(kLdaTopics);
   }
+  // setup_s: the median of kSetupRepeats set-ups before the window and as
+  // many after the output checks, so that a slow spell of the host spoils
+  // one group rather than the reading.
   std::vector<double> setups;
   std::unique_ptr<Stack> stack;
-  for (size_t i = 0; i < a.U("setup_repeats"); ++i) {
-    stack.reset();
-    const Clock::time_point t0 = Clock::now();
-    stack = BuildStack(a);
-    setups.push_back(Seconds(t0, Clock::now()));
-  }
+  auto set_up = [&] {
+    for (size_t i = 0; i < kSetupRepeats; ++i) {
+      stack.reset();
+      const Clock::time_point t0 = Clock::now();
+      stack = BuildStack(a);
+      setups.push_back(Seconds(t0, Clock::now()));
+    }
+  };
+  set_up();
   if (a.workload == "protect_closed") {
     ProtectClosed(a, *stack, r);
   } else if (a.workload == "protect_open") {
@@ -1551,6 +1654,7 @@ int main(int argc, char** argv) {
     Die("workload not implemented: " + a.workload);
   }
   if (!a.trace) {
+    set_up();
     r.Add("setup_s", Median(setups), "s");
     r.Add("rss_mb", r.rss_mb, "MiB");
   }
