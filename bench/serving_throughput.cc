@@ -3,19 +3,15 @@
 // (the product metrics — the paper's Fig. 2d reports per-cycle generation
 // time; a deployment must also sustain many users at once).
 //
-// The grid sweeps evaluation strategy × shard count × driver threads:
-// strategy ∈ {taat, maxscore} (the PostingList-block MaxScore evaluator vs
-// classic term-at-a-time), K ∈ {1, 2, 4} index shards (K = 1 is the
-// monolithic SearchEngine, K > 1 a driver-shared ShardedSearchEngine
-// fleet) at 1, 4 and hardware-concurrency worker threads. Session digests
-// must be identical across EVERY cell — strategies AND thread counts AND
-// shard counts — which is the serving-layer face of the bit-parity
-// invariant.
+// The grid sweeps driver threads (1, 4 and hardware concurrency) over one
+// term-at-a-time SearchEngine shared by every session. Session digests
+// must be identical across EVERY cell, which is the serving-layer face of
+// the bit-parity invariant.
 //
 // A second, retrieval-only phase replays the raw benchmark workload
-// through each (strategy, shards) engine with no privacy layer in the
-// loop, isolating the evaluator speedup the tentpole targets (in the
-// session phase, ghost generation shares the wall clock and dilutes it).
+// through the same engine with no privacy layer in the loop, isolating
+// evaluator cost (in the session phase, ghost generation shares the wall
+// clock and dilutes it).
 //
 // A third, mixed read/write phase runs the session fleet over a
 // LiveSearchEngine while a writer thread streams the rest of the corpus
@@ -24,9 +20,13 @@
 // corpus under live query load the static engines cannot model. Mid-run
 // results are snapshot-timing-dependent by nature, so the phase's gate is
 // CONVERGENCE: after ingest completes, a workload replay over the live
-// engine must produce the bit-identical digest of the static K=1 engine
+// engine must produce the bit-identical digest of the static engine
 // replay; a mismatch fails the binary (and with it the CI perf-smoke
 // step).
+//
+// In --json output every cell keeps "strategy":"taat", and the serving and
+// retrieval cells keep "shards":1: tools/bench_compare.py matches cells by
+// these keys against the committed baseline.
 //
 // `--smoke` shrinks the fixture to a tiny corpus/model so CI can keep this
 // binary from bit-rotting in a few seconds; explicit TOPPRIV_* environment
@@ -77,12 +77,7 @@ size_t EnvSize(const char* name, size_t fallback) {
   return parsed > 0 ? static_cast<size_t>(parsed) : fallback;
 }
 
-const search::EvalStrategy kStrategies[] = {search::EvalStrategy::kTAAT,
-                                            search::EvalStrategy::kMaxScore};
-
 struct ServingCell {
-  search::EvalStrategy strategy;
-  size_t shards = 0;
   size_t threads = 0;
   serving::ServingReport report;
   double generation_seconds = 0.0;
@@ -90,8 +85,6 @@ struct ServingCell {
 };
 
 struct RetrievalCell {
-  search::EvalStrategy strategy;
-  size_t shards = 0;
   size_t queries = 0;
   double wall_seconds = 0.0;
   double queries_per_second = 0.0;
@@ -99,7 +92,6 @@ struct RetrievalCell {
 };
 
 struct LiveCell {
-  search::EvalStrategy strategy;
   size_t threads = 0;
   size_t eval_threads = 1;
   size_t upfront_docs = 0;
@@ -112,7 +104,6 @@ struct LiveCell {
 };
 
 struct OpenLoopCell {
-  search::EvalStrategy strategy;
   /// "under" (0.5x measured closed-loop capacity) or "over" (4x).
   const char* load = "under";
   double arrival_qps = 0.0;
@@ -128,6 +119,13 @@ uint64_t HashResults(uint64_t h, const std::vector<search::ScoredDoc>& docs) {
     h = util::Fnv1aStep(h, bits);
   }
   return h;
+}
+
+/// The serving and retrieval cell keys tools/bench_compare.py matches on
+/// (see file comment).
+void CellKeys(util::JsonWriter* json) {
+  json->Field("strategy", "taat");
+  json->Field("shards", uint64_t{1});
 }
 
 }  // namespace
@@ -197,210 +195,158 @@ int main(int argc, char** argv) {
   const size_t hw = util::ThreadPool::HardwareConcurrency();
   std::vector<size_t> thread_counts = {1, 4};
   if (hw != 4 && hw != 1) thread_counts.push_back(hw);
-  const std::vector<size_t> shard_counts = {1, 2, 4};
 
-  // One engine (shard fleet) per strategy × shard count, shared by every
-  // session at every driver thread count AND reused by the retrieval
-  // replay below — the deployment shape: the fleet is a server resource,
-  // sessions are traffic (and a MaxScore engine's impact-bound tables are
-  // paid for once, not per phase). TOPPRIV_SHARD_THREADS>1 additionally
-  // fans each query's shard evaluations out on the engine's private pool
-  // (stacked parallelism; digests must stay identical).
-  struct EngineCell {
-    search::EvalStrategy strategy;
-    size_t shards;
-    std::unique_ptr<search::QueryEngine> engine;
-  };
-  std::vector<EngineCell> engines;
-  for (search::EvalStrategy strategy : kStrategies) {
-    for (size_t num_shards : shard_counts) {
-      engines.push_back(EngineCell{
-          strategy, num_shards,
-          fixture.MakeEngine(search::MakeBm25Scorer(), num_shards,
-                             fixture.config().shard_threads, strategy)});
-    }
-  }
+  // One engine shared by every session at every driver thread count AND
+  // reused by the retrieval replay below — the deployment shape: the
+  // engine is a server resource, sessions are traffic.
+  std::unique_ptr<search::QueryEngine> engine =
+      fixture.MakeEngine(search::MakeBm25Scorer());
 
   // ------------------------------------------------- session-driver phase --
   std::vector<ServingCell> serving_cells;
   uint64_t reference_digest = 0;
-  bool have_reference = false;
   bool deterministic = true;
   double base_cps = 0.0;
-  for (const EngineCell& ec : engines) {
-    for (size_t threads : thread_counts) {
-      serving::DriverOptions options;
-      options.num_threads = threads;
-      options.seed = 42;
-      serving::SessionDriver driver(model, inferencer, *ec.engine, options);
+  for (size_t threads : thread_counts) {
+    serving::DriverOptions options;
+    options.num_threads = threads;
+    options.seed = 42;
+    serving::SessionDriver driver(model, inferencer, *engine, options);
 
-      ServingCell cell;
-      cell.strategy = ec.strategy;
-      cell.shards = ec.shards;
-      cell.threads = threads;
-      cell.report = driver.Run(sessions);
-      for (const serving::SessionStats& s : cell.report.sessions) {
-        cell.digest ^= s.digest;
-        cell.generation_seconds += s.generation_seconds;
-      }
-      if (!have_reference) {
-        reference_digest = cell.digest;
-        have_reference = true;
-        base_cps = cell.report.cycles_per_second;
-      } else if (cell.digest != reference_digest) {
-        deterministic = false;
-      }
-      serving_cells.push_back(std::move(cell));
+    ServingCell cell;
+    cell.threads = threads;
+    cell.report = driver.Run(sessions);
+    for (const serving::SessionStats& s : cell.report.sessions) {
+      cell.digest ^= s.digest;
+      cell.generation_seconds += s.generation_seconds;
     }
+    if (serving_cells.empty()) {
+      reference_digest = cell.digest;
+      base_cps = cell.report.cycles_per_second;
+    } else if (cell.digest != reference_digest) {
+      deterministic = false;
+    }
+    serving_cells.push_back(std::move(cell));
   }
 
   // ---------------------------------------------- retrieval-only replay --
   const size_t reps =
       std::max<size_t>(1, eval_target / std::max<size_t>(1, workload.size()));
-  std::vector<RetrievalCell> retrieval_cells;
-  uint64_t eval_reference = 0;
-  bool have_eval_reference = false;
-  for (const EngineCell& ec : engines) {
-    RetrievalCell cell;
-    cell.strategy = ec.strategy;
-    cell.shards = ec.shards;
+  RetrievalCell retrieval;
+  {
     uint64_t digest = util::kFnv1aOffsetBasis;
     util::WallTimer timer;
     for (size_t r = 0; r < reps; ++r) {
       for (const corpus::BenchmarkQuery& q : workload) {
         std::vector<search::ScoredDoc> results =
-            ec.engine->Evaluate(q.term_ids, 10);
+            engine->Evaluate(q.term_ids, 10);
         // Digest every pass identically so reps do not mask divergence.
         digest = HashResults(digest, results);
-        ++cell.queries;
+        ++retrieval.queries;
       }
     }
-    cell.wall_seconds = timer.ElapsedSeconds();
-    cell.digest = digest;
-    cell.queries_per_second =
-        cell.wall_seconds > 0.0
-            ? static_cast<double>(cell.queries) / cell.wall_seconds
+    retrieval.wall_seconds = timer.ElapsedSeconds();
+    retrieval.digest = digest;
+    retrieval.queries_per_second =
+        retrieval.wall_seconds > 0.0
+            ? static_cast<double>(retrieval.queries) / retrieval.wall_seconds
             : 0.0;
-    if (!have_eval_reference) {
-      eval_reference = digest;
-      have_eval_reference = true;
-    } else if (digest != eval_reference) {
-      deterministic = false;
-    }
-    retrieval_cells.push_back(cell);
   }
 
   // ---------------------------------------------- mixed read/write phase --
   // Sessions serve over a LiveSearchEngine while a writer streams the
   // remaining corpus in; background merges run on a shared two-worker
   // pool. After convergence the live replay digest must equal the static
-  // K=1 replay digest of the same strategy, bit for bit.
+  // engine's replay digest, bit for bit.
   const double upfront_fraction = fixture.config().live_ingest_upfront;
   const size_t corpus_docs = fixture.corpus().num_documents();
   std::vector<LiveCell> live_cells;
   bool live_parity = true;
-  auto static_replay_digest = [&](search::EvalStrategy strategy) {
-    for (const EngineCell& ec : engines) {
-      if (ec.strategy != strategy || ec.shards != 1) continue;
-      uint64_t digest = util::kFnv1aOffsetBasis;
-      for (const corpus::BenchmarkQuery& q : workload) {
-        digest = HashResults(digest, ec.engine->Evaluate(q.term_ids, 10));
-      }
-      return digest;
+  uint64_t want_digest = util::kFnv1aOffsetBasis;
+  for (const corpus::BenchmarkQuery& q : workload) {
+    want_digest = HashResults(want_digest, engine->Evaluate(q.term_ids, 10));
+  }
+  const size_t live_eval_threads = fixture.config().live_eval_threads;
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    util::ThreadPool merge_pool(2);
+    index::live::LiveIndexOptions live_options;
+    live_options.max_writer_docs = 64;
+    live_options.merge_pool = &merge_pool;
+    std::unique_ptr<index::live::LiveIndex> live =
+        fixture.MakeLiveIndex(upfront_fraction, live_options);
+    // The engine's per-query segment fan-out needs its own pool: driver
+    // workers BLOCK inside ParallelFor, so handing them the driver's (or
+    // merge) pool would deadlock. Declared before the engine so it
+    // outlives it. Parity is unaffected — the fan-out is bit-identical
+    // to the sequential scatter by the determinism argument in
+    // live_engine.h, and the convergence digest below proves it per run.
+    std::unique_ptr<util::ThreadPool> eval_pool;
+    if (live_eval_threads > 1) {
+      eval_pool = std::make_unique<util::ThreadPool>(live_eval_threads);
     }
-    return uint64_t{0};
-  };
-  size_t live_eval_threads = fixture.config().live_eval_threads;
-  if (live_eval_threads == 0) live_eval_threads = hw;
-  for (search::EvalStrategy strategy : kStrategies) {
-    const uint64_t want_digest = static_replay_digest(strategy);
-    for (size_t threads : {size_t{1}, size_t{4}}) {
-      util::ThreadPool merge_pool(2);
-      index::live::LiveIndexOptions live_options;
-      live_options.max_writer_docs = 64;
-      live_options.merge_pool = &merge_pool;
-      std::unique_ptr<index::live::LiveIndex> live =
-          fixture.MakeLiveIndex(upfront_fraction, live_options);
-      // The engine's per-query segment fan-out needs its own pool: driver
-      // workers BLOCK inside ParallelFor, so handing them the driver's (or
-      // merge) pool would deadlock. Declared before the engine so it
-      // outlives it. Parity is unaffected — the fan-out is bit-identical
-      // to the sequential scatter by the determinism argument in
-      // live_engine.h, and the convergence digest below proves it per run.
-      std::unique_ptr<util::ThreadPool> eval_pool;
-      if (live_eval_threads > 1) {
-        eval_pool = std::make_unique<util::ThreadPool>(live_eval_threads);
-      }
-      search::LiveSearchEngine engine(fixture.corpus(), *live,
-                                      search::MakeBm25Scorer(), strategy,
-                                      eval_pool.get());
+    search::LiveSearchEngine live_engine(
+        fixture.corpus(), *live, search::MakeBm25Scorer(),
+        search::EvalStrategy::kTAAT, eval_pool.get());
 
-      LiveCell cell;
-      cell.strategy = strategy;
-      cell.threads = threads;
-      cell.eval_threads = live_eval_threads;
-      cell.upfront_docs = live->Acquire()->num_documents();
-      cell.streamed_docs = corpus_docs - cell.upfront_docs;
+    LiveCell cell;
+    cell.threads = threads;
+    cell.eval_threads = live_eval_threads;
+    cell.upfront_docs = live->Acquire()->num_documents();
+    cell.streamed_docs = corpus_docs - cell.upfront_docs;
 
-      serving::DriverOptions options;
-      options.num_threads = threads;
-      options.seed = 42;
-      serving::SessionDriver driver(model, inferencer, engine, options);
+    serving::DriverOptions options;
+    options.num_threads = threads;
+    options.seed = 42;
+    serving::SessionDriver driver(model, inferencer, live_engine, options);
 
-      std::thread writer([&] {
-        util::WallTimer ingest_timer;
-        index::live::StreamCorpus(fixture.corpus(), cell.upfront_docs,
-                                  corpus_docs, /*batch_size=*/32, live.get());
-        cell.ingest_wall_seconds = ingest_timer.ElapsedSeconds();
-      });
-      cell.report = driver.Run(sessions);  // races the writer by design
-      writer.join();
-      live->WaitForMerges();
-      live->Refresh();
-      cell.final_segments = live->num_segments();
-      cell.ingest_docs_per_second =
-          cell.ingest_wall_seconds > 0.0
-              ? static_cast<double>(cell.streamed_docs) /
-                    cell.ingest_wall_seconds
-              : 0.0;
+    std::thread writer([&] {
+      util::WallTimer ingest_timer;
+      index::live::StreamCorpus(fixture.corpus(), cell.upfront_docs,
+                                corpus_docs, /*batch_size=*/32, live.get());
+      cell.ingest_wall_seconds = ingest_timer.ElapsedSeconds();
+    });
+    cell.report = driver.Run(sessions);  // races the writer by design
+    writer.join();
+    live->WaitForMerges();
+    live->Refresh();
+    cell.final_segments = live->num_segments();
+    cell.ingest_docs_per_second =
+        cell.ingest_wall_seconds > 0.0
+            ? static_cast<double>(cell.streamed_docs) /
+                  cell.ingest_wall_seconds
+            : 0.0;
 
-      uint64_t got_digest = util::kFnv1aOffsetBasis;
-      for (const corpus::BenchmarkQuery& q : workload) {
-        got_digest = HashResults(got_digest, engine.Evaluate(q.term_ids, 10));
-      }
-      cell.parity_with_static = got_digest == want_digest;
-      live_parity = live_parity && cell.parity_with_static;
-      live_cells.push_back(std::move(cell));
+    uint64_t got_digest = util::kFnv1aOffsetBasis;
+    for (const corpus::BenchmarkQuery& q : workload) {
+      got_digest =
+          HashResults(got_digest, live_engine.Evaluate(q.term_ids, 10));
     }
+    cell.parity_with_static = got_digest == want_digest;
+    live_parity = live_parity && cell.parity_with_static;
+    live_cells.push_back(std::move(cell));
   }
 
   // --------------------------------------------------- open-loop phase --
-  // Arrival-driven load against the K=1 engine of each strategy at 4
-  // driver threads. Rates are set RELATIVE to the closed-loop capacity
-  // measured above (same machine, same run), so "under" genuinely
-  // underloads and "over" genuinely overloads on any hardware: under 0.5x
-  // capacity nothing should shed; at 4x capacity the admission gate must
-  // shed hard while latency stays bounded by the queue cap instead of
-  // growing without limit.
+  // Arrival-driven load against the static engine at 4 driver threads.
+  // Rates are set RELATIVE to the closed-loop capacity measured above (same
+  // machine, same run), so "under" genuinely underloads and "over"
+  // genuinely overloads on any hardware: under 0.5x capacity nothing
+  // should shed; at 4x capacity the admission gate must shed hard while
+  // latency stays bounded by the queue cap instead of growing without
+  // limit.
   const size_t open_arrivals =
       EnvSize("TOPPRIV_OPENLOOP_ARRIVALS", smoke ? 120 : 600);
   std::vector<OpenLoopCell> open_loop_cells;
-  auto closed_loop_cps = [&](search::EvalStrategy strategy) {
-    for (const ServingCell& c : serving_cells) {
-      if (c.strategy == strategy && c.shards == 1 && c.threads == 4) {
-        return c.report.cycles_per_second;
-      }
-    }
-    return 0.0;
-  };
-  for (const EngineCell& ec : engines) {
-    if (ec.shards != 1) continue;
-    const double capacity = closed_loop_cps(ec.strategy);
+  double capacity = 0.0;
+  for (const ServingCell& c : serving_cells) {
+    if (c.threads == 4) capacity = c.report.cycles_per_second;
+  }
+  {
     const double base_rate = capacity > 0.0 ? capacity : 50.0;
     serving::DriverOptions options;
     options.num_threads = 4;
     options.seed = 42;
-    serving::SessionDriver driver(model, inferencer, *ec.engine, options);
+    serving::SessionDriver driver(model, inferencer, *engine, options);
     for (const bool overload : {false, true}) {
       serving::OpenLoopOptions open;
       open.arrival_qps = overload ? 4.0 * base_rate : 0.5 * base_rate;
@@ -410,7 +356,6 @@ int main(int argc, char** argv) {
       open.admission.max_queue_depth = 8;
       open.admission.degraded_watermark = 0.75;
       OpenLoopCell cell;
-      cell.strategy = ec.strategy;
       cell.load = overload ? "over" : "under";
       cell.arrival_qps = open.arrival_qps;
       cell.report = driver.RunOpenLoop(sessions, open);
@@ -418,30 +363,13 @@ int main(int argc, char** argv) {
     }
   }
 
-  // MaxScore-vs-TAAT evaluator speedup at each shard count (the tentpole's
-  // headline number at K = 1).
-  auto eval_qps = [&](search::EvalStrategy strategy, size_t shards) {
-    for (const RetrievalCell& c : retrieval_cells) {
-      if (c.strategy == strategy && c.shards == shards) {
-        return c.queries_per_second;
-      }
-    }
-    return 0.0;
-  };
-  const double maxscore_speedup =
-      eval_qps(search::EvalStrategy::kTAAT, 1) > 0.0
-          ? eval_qps(search::EvalStrategy::kMaxScore, 1) /
-                eval_qps(search::EvalStrategy::kTAAT, 1)
-          : 0.0;
-
   // ------------------------------------------------------------- reports --
-  util::TablePrinter table({"strategy", "shards", "threads", "sessions",
-                            "cycles", "queries", "wall(s)", "cycles/s",
-                            "queries/s", "gen_ms/cyc", "speedup"});
+  util::TablePrinter table({"threads", "sessions", "cycles", "queries",
+                            "wall(s)", "cycles/s", "queries/s", "gen_ms/cyc",
+                            "speedup"});
   for (const ServingCell& cell : serving_cells) {
     table.AddRow(
-        {search::EvalStrategyName(cell.strategy), std::to_string(cell.shards),
-         std::to_string(cell.threads),
+        {std::to_string(cell.threads),
          std::to_string(cell.report.sessions.size()),
          std::to_string(cell.report.total_cycles),
          std::to_string(cell.report.total_queries),
@@ -461,26 +389,17 @@ int main(int argc, char** argv) {
              "x"});
   }
 
-  util::TablePrinter eval_table(
-      {"strategy", "shards", "queries", "wall(s)", "eval_queries/s", "vs_taat"});
-  for (const RetrievalCell& cell : retrieval_cells) {
-    double taat = eval_qps(search::EvalStrategy::kTAAT, cell.shards);
-    eval_table.AddRow(
-        {search::EvalStrategyName(cell.strategy), std::to_string(cell.shards),
-         std::to_string(cell.queries),
-         util::FormatDouble(cell.wall_seconds, 2),
-         util::FormatDouble(cell.queries_per_second, 1),
-         util::FormatDouble(taat > 0.0 ? cell.queries_per_second / taat : 0.0,
-                            2) +
-             "x"});
-  }
+  util::TablePrinter eval_table({"queries", "wall(s)", "eval_queries/s"});
+  eval_table.AddRow({std::to_string(retrieval.queries),
+                     util::FormatDouble(retrieval.wall_seconds, 2),
+                     util::FormatDouble(retrieval.queries_per_second, 1)});
 
-  util::TablePrinter live_table({"strategy", "threads", "eval_thr", "upfront",
-                                 "streamed", "ingest_docs/s", "cycles/s",
-                                 "queries/s", "segments", "parity"});
+  util::TablePrinter live_table({"threads", "eval_thr", "upfront", "streamed",
+                                 "ingest_docs/s", "cycles/s", "queries/s",
+                                 "segments", "parity"});
   for (const LiveCell& cell : live_cells) {
     live_table.AddRow(
-        {search::EvalStrategyName(cell.strategy), std::to_string(cell.threads),
+        {std::to_string(cell.threads),
          std::to_string(cell.eval_threads),
          std::to_string(cell.upfront_docs), std::to_string(cell.streamed_docs),
          util::FormatDouble(cell.ingest_docs_per_second, 1),
@@ -500,15 +419,15 @@ int main(int argc, char** argv) {
   std::printf(
       "\nMixed read/write phase (live ingest, %.0f%% up-front, batch 32,\n"
       "background merges on 2 workers; parity = post-convergence replay\n"
-      "digest equals the static K=1 engine's)\n",
+      "digest equals the static engine's)\n",
       100.0 * upfront_fraction);
   std::printf("%s", live_table.ToString().c_str());
-  util::TablePrinter open_table({"strategy", "load", "arrival/s", "arrivals",
-                                 "shed", "shed_rate", "degraded", "done/s",
-                                 "p50(ms)", "p95(ms)", "p99(ms)", "peak_q"});
+  util::TablePrinter open_table({"load", "arrival/s", "arrivals", "shed",
+                                 "shed_rate", "degraded", "done/s", "p50(ms)",
+                                 "p95(ms)", "p99(ms)", "peak_q"});
   for (const OpenLoopCell& cell : open_loop_cells) {
     open_table.AddRow(
-        {search::EvalStrategyName(cell.strategy), cell.load,
+        {cell.load,
          util::FormatDouble(cell.arrival_qps, 1),
          std::to_string(cell.report.arrivals),
          std::to_string(cell.report.shed),
@@ -521,27 +440,28 @@ int main(int argc, char** argv) {
          std::to_string(cell.report.peak_queue_depth)});
   }
   std::printf(
-      "\nOpen-loop phase (K=1, 4 threads; Poisson arrivals at 0.5x and 4x\n"
+      "\nOpen-loop phase (4 threads; Poisson arrivals at 0.5x and 4x\n"
       "the measured closed-loop capacity; admission gate 4 in-flight + 8\n"
       "queued, degraded-mode watermark 0.75 — past it, cycles shed ghost\n"
       "CACHE REFRESH, never ghost emission)\n");
   std::printf("%s", open_table.ToString().c_str());
 
   std::printf(
-      "\nsession+retrieval digests identical across strategy AND shard AND\n"
-      "thread counts: %s\nstatic-vs-live convergence digest parity: %s\n"
-      "maxscore evaluator speedup vs taat (K=1): %.2fx\n"
+      "\nsession digests identical across thread counts: %s\n"
+      "serving digest: %016llx\nretrieval digest: %016llx\n"
+      "static-vs-live convergence digest parity: %s\n"
       "\npaper claims to check: Fig. 2d puts per-cycle generation around a\n"
       "second at full scale on 2008-era hardware; the serving target here is\n"
       ">=2x cycles/s at 4 threads vs 1 (needs a >=4-core machine — sessions\n"
       "are embarrassingly parallel, so scaling is linear until the memory\n"
-      "bus saturates). Neither sharding nor the evaluation strategy nor\n"
-      "LIVE INGEST may change a single result bit: the digest checks above\n"
-      "ARE the paper's no-fidelity-loss invariant, held across the\n"
-      "distribution boundary, the MaxScore pruning logic, and the\n"
-      "segment/merge/snapshot machinery.\n",
+      "bus saturates). Neither thread count nor LIVE INGEST may change a\n"
+      "single result bit: the digest checks above ARE the paper's\n"
+      "no-fidelity-loss invariant, held across the segment/merge/snapshot\n"
+      "machinery.\n",
       deterministic ? "yes" : "NO (bug!)",
-      live_parity ? "yes" : "NO (bug!)", maxscore_speedup);
+      static_cast<unsigned long long>(reference_digest),
+      static_cast<unsigned long long>(retrieval.digest),
+      live_parity ? "yes" : "NO (bug!)");
 
   if (!json_path.empty()) {
     util::JsonWriter json;
@@ -554,13 +474,11 @@ int main(int argc, char** argv) {
     json.Field("deterministic", deterministic);
     json.Field("live_static_parity", live_parity);
     json.Field("live_ingest_upfront_fraction", upfront_fraction);
-    json.Field("maxscore_eval_speedup_k1", maxscore_speedup);
     json.Key("serving_cells");
     json.BeginArray();
     for (const ServingCell& cell : serving_cells) {
       json.BeginObject();
-      json.Field("strategy", search::EvalStrategyName(cell.strategy));
-      json.Field("shards", static_cast<uint64_t>(cell.shards));
+      CellKeys(&json);
       json.Field("threads", static_cast<uint64_t>(cell.threads));
       json.Field("sessions",
                  static_cast<uint64_t>(cell.report.sessions.size()));
@@ -582,24 +500,21 @@ int main(int argc, char** argv) {
     json.EndArray();
     json.Key("retrieval_cells");
     json.BeginArray();
-    for (const RetrievalCell& cell : retrieval_cells) {
-      json.BeginObject();
-      json.Field("strategy", search::EvalStrategyName(cell.strategy));
-      json.Field("shards", static_cast<uint64_t>(cell.shards));
-      json.Field("queries", static_cast<uint64_t>(cell.queries));
-      json.Field("wall_seconds", cell.wall_seconds);
-      json.Field("queries_per_second", cell.queries_per_second);
-      json.Field("digest", util::StrFormat("%016llx",
-                                           static_cast<unsigned long long>(
-                                               cell.digest)));
-      json.EndObject();
-    }
+    json.BeginObject();
+    CellKeys(&json);
+    json.Field("queries", static_cast<uint64_t>(retrieval.queries));
+    json.Field("wall_seconds", retrieval.wall_seconds);
+    json.Field("queries_per_second", retrieval.queries_per_second);
+    json.Field("digest", util::StrFormat("%016llx",
+                                         static_cast<unsigned long long>(
+                                             retrieval.digest)));
+    json.EndObject();
     json.EndArray();
     json.Key("live_cells");
     json.BeginArray();
     for (const LiveCell& cell : live_cells) {
       json.BeginObject();
-      json.Field("strategy", search::EvalStrategyName(cell.strategy));
+      json.Field("strategy", "taat");
       json.Field("threads", static_cast<uint64_t>(cell.threads));
       json.Field("eval_threads", static_cast<uint64_t>(cell.eval_threads));
       json.Field("upfront_docs", static_cast<uint64_t>(cell.upfront_docs));
@@ -620,7 +535,7 @@ int main(int argc, char** argv) {
     json.BeginArray();
     for (const OpenLoopCell& cell : open_loop_cells) {
       json.BeginObject();
-      json.Field("strategy", search::EvalStrategyName(cell.strategy));
+      json.Field("strategy", "taat");
       json.Field("load", cell.load);
       json.Field("arrival_qps", cell.arrival_qps);
       json.Field("arrivals", static_cast<uint64_t>(cell.report.arrivals));

@@ -19,7 +19,6 @@
 #include "index/live/live_index.h"
 #include "index/live/wal.h"
 #include "index/posting_list.h"
-#include "index/sharded_index.h"
 #include "topicmodel/lda_model.h"
 #include "util/filesystem.h"
 
@@ -40,7 +39,7 @@ void WriteSeed(const fs::path& root, const std::string& target,
 }
 
 /// A small deterministic corpus with enough term/doc variety to produce
-/// multi-term postings, several shards and non-trivial df tables.
+/// multi-term postings and non-trivial df tables.
 corpus::Corpus MakeCorpus() {
   corpus::Corpus c;
   text::Vocabulary& vocab = c.mutable_vocabulary();
@@ -106,11 +105,6 @@ int main(int argc, char** argv) {
 
   WriteSeed(root, "inverted_index", "small.bin",
             index::InvertedIndex::Build(corpus).Serialize());
-
-  WriteSeed(root, "sharded_index", "three_shards.bin",
-            index::ShardedIndex::Build(corpus, 3).Serialize());
-  WriteSeed(root, "sharded_index", "one_shard.bin",
-            index::ShardedIndex::Build(corpus, 1).Serialize());
 
   {
     const size_t topics = 3, vocab = corpus.vocabulary_size();

@@ -1,10 +1,9 @@
 #include "experiments/fixture.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-
-#include "search/sharded_engine.h"
 
 #include "util/check.h"
 #include "util/filesystem.h"
@@ -17,11 +16,22 @@ namespace toppriv::experiments {
 
 namespace {
 
+// A whole positive number, or `fallback` (with a warning when the variable
+// is set but malformed: "4x" and "1,500" must not silently read as 4 and 1).
 size_t EnvSize(const char* name, size_t fallback) {
   const char* v = std::getenv(name);
   if (v == nullptr || *v == '\0') return fallback;
-  long parsed = std::strtol(v, nullptr, 10);
-  return parsed > 0 ? static_cast<size_t>(parsed) : fallback;
+  char* end = nullptr;
+  errno = 0;
+  const long long parsed = std::strtoll(v, &end, 10);
+  if (end == v || *end != '\0' || errno == ERANGE || parsed <= 0) {
+    std::fprintf(stderr,
+                 "[fixture] invalid %s='%s' (want a positive integer); "
+                 "using %zu\n",
+                 name, v, fallback);
+    return fallback;
+  }
+  return static_cast<size_t>(parsed);
 }
 
 std::string EnvString(const char* name, const std::string& fallback) {
@@ -69,9 +79,6 @@ FixtureConfig FixtureConfig::FromEnv() {
   config.workload_params.num_queries = EnvSize("TOPPRIV_QUERIES", 150);
   config.lda_iterations = EnvSize("TOPPRIV_LDA_ITERS", 100);
   config.cache_dir = EnvString("TOPPRIV_CACHE_DIR", ".toppriv_cache");
-  config.num_shards = EnvSize("TOPPRIV_SHARDS", 1);
-  config.shard_threads = EnvSize("TOPPRIV_SHARD_THREADS", 1);
-  config.eval_strategy = search::EvalStrategyFromEnv();
   config.live_ingest_upfront = EnvFraction("TOPPRIV_LIVE_INGEST", 0.5);
   config.live_eval_threads = EnvSize("TOPPRIV_LIVE_EVAL_THREADS", 1);
   config.durability = EnvDurability("TOPPRIV_DURABILITY");
@@ -129,26 +136,6 @@ const index::InvertedIndex& ExperimentFixture::index() {
   return *index_;
 }
 
-const index::ShardedIndex& ExperimentFixture::sharded_index(
-    size_t num_shards) {
-  auto it = sharded_.find(num_shards);
-  if (it != sharded_.end()) return *it->second;
-  EnsureCorpus();
-  // Shard construction fans out over a transient pool (shards are
-  // independent doc ranges; the pooled build is bit-identical to the
-  // serial one — sharding_test asserts it).
-  std::unique_ptr<util::ThreadPool> pool;
-  const size_t hw = util::ThreadPool::HardwareConcurrency();
-  if (num_shards > 1 && hw > 1) {
-    pool = std::make_unique<util::ThreadPool>(std::min(num_shards, hw));
-  }
-  auto owned = std::make_unique<index::ShardedIndex>(
-      index::ShardedIndex::Build(*corpus_, num_shards, pool.get()));
-  const index::ShardedIndex& ref = *owned;
-  sharded_.emplace(num_shards, std::move(owned));
-  return ref;
-}
-
 std::unique_ptr<index::live::LiveIndex> ExperimentFixture::MakeLiveIndex(
     double upfront_fraction, index::live::LiveIndexOptions options) {
   EnsureCorpus();
@@ -181,23 +168,9 @@ std::unique_ptr<index::live::LiveIndex> ExperimentFixture::MakeLiveIndex(
 }
 
 std::unique_ptr<search::QueryEngine> ExperimentFixture::MakeEngine(
-    std::unique_ptr<search::Scorer> scorer, size_t num_shards,
-    size_t shard_threads, std::optional<search::EvalStrategy> strategy) {
-  const search::EvalStrategy eval =
-      strategy.value_or(config_.eval_strategy);
-  if (num_shards <= 1) {
-    return std::make_unique<search::SearchEngine>(corpus(), index(),
-                                                  std::move(scorer), eval);
-  }
-  return std::make_unique<search::ShardedSearchEngine>(
-      corpus(), sharded_index(num_shards), std::move(scorer), shard_threads,
-      eval);
-}
-
-std::unique_ptr<search::QueryEngine> ExperimentFixture::MakeEngine(
     std::unique_ptr<search::Scorer> scorer) {
-  return MakeEngine(std::move(scorer), config_.num_shards,
-                    config_.shard_threads);
+  return std::make_unique<search::SearchEngine>(corpus(), index(),
+                                                std::move(scorer));
 }
 
 std::string ExperimentFixture::CacheKey(size_t num_topics) const {

@@ -10,15 +10,14 @@
 //   TOPPRIV_QUERIES     workload size             (default 150, as the paper)
 //   TOPPRIV_LDA_ITERS   Gibbs sweeps              (default 100)
 //   TOPPRIV_CACHE_DIR   LDA model cache directory (default .toppriv_cache)
-//   TOPPRIV_SHARDS      index shards for MakeEngine (default 1 = monolithic)
-//   TOPPRIV_SHARD_THREADS  per-query shard fan-out threads (default 1 =
-//                          sequential scatter)
 //   TOPPRIV_LIVE_INGEST fraction of the corpus ingested up-front into a
 //                          MakeLiveIndex live index (default 0.5); the
 //                          rest streams in during the serving run
 //   TOPPRIV_LIVE_EVAL_THREADS  per-query segment fan-out threads for the
-//                          live serving phase (default 1 = sequential;
-//                          0 = hardware concurrency)
+//                          live serving phase (default 1 = sequential)
+//
+// A size knob that is not a whole positive number ("0", "4x", "1,500")
+// is ignored with a warning on stderr, and the default applies.
 //   TOPPRIV_DURABILITY  WAL mode for MakeLiveIndex indexes: off (default,
 //                          in-memory), batch, refresh or manual. When on,
 //                          the index is opened with LiveIndex::Recover()
@@ -38,7 +37,6 @@
 #include "corpus/workload.h"
 #include "index/inverted_index.h"
 #include "index/live/live_index.h"
-#include "index/sharded_index.h"
 #include "search/engine.h"
 #include "search/scorer.h"
 #include "topicmodel/gibbs_trainer.h"
@@ -52,24 +50,15 @@ struct FixtureConfig {
   corpus::WorkloadParams workload_params;
   size_t lda_iterations = 100;
   std::string cache_dir = ".toppriv_cache";
-  /// Index shards MakeEngine uses; 1 builds the monolithic SearchEngine.
-  size_t num_shards = 1;
-  /// Shard fan-out threads for MakeEngine's sharded engine (1 = sequential
-  /// scatter on the caller's thread; 0 = hardware concurrency).
-  size_t shard_threads = 1;
-  /// Query evaluation strategy MakeEngine wires into the engine
-  /// (TOPPRIV_EVAL_STRATEGY: "taat" or "maxscore"). Results are
-  /// bit-identical either way; this sweeps performance only.
-  search::EvalStrategy eval_strategy = search::EvalStrategy::kTAAT;
   /// Fraction of the corpus a MakeLiveIndex live index ingests up-front
   /// (TOPPRIV_LIVE_INGEST, clamped to [0, 1]); the remainder is streamed
   /// during the serving run's mixed read/write phase.
   double live_ingest_upfront = 0.5;
   /// Per-query segment fan-out threads for live-serving benches
   /// (TOPPRIV_LIVE_EVAL_THREADS; 1 = sequential scatter on the caller's
-  /// thread, 0 = hardware concurrency). Consumers size the dedicated
-  /// LiveSearchEngine eval pool from this — the pool must be distinct
-  /// from any pool whose workers issue the queries.
+  /// thread). Consumers size the dedicated LiveSearchEngine eval pool
+  /// from this — the pool must be distinct from any pool whose workers
+  /// issue the queries.
   size_t live_eval_threads = 1;
   /// WAL sync discipline for MakeLiveIndex indexes (TOPPRIV_DURABILITY:
   /// off | batch | refresh | manual). Unset = in-memory, as before; set,
@@ -101,10 +90,6 @@ class ExperimentFixture {
   const std::vector<corpus::BenchmarkQuery>& workload();
   /// Inverted index over the corpus.
   const index::InvertedIndex& index();
-  /// Document-partitioned index with `num_shards` shards (built on first
-  /// use, cached per shard count). The parity suite guarantees it answers
-  /// queries identically to index().
-  const index::ShardedIndex& sharded_index(size_t num_shards);
   /// Trained LDA model with `num_topics` topics (trains or loads cache).
   const topicmodel::LdaModel& model(size_t num_topics);
 
@@ -120,19 +105,7 @@ class ExperimentFixture {
       double upfront_fraction,
       index::live::LiveIndexOptions options = index::live::LiveIndexOptions());
 
-  /// Builds a query engine over the fixture corpus: the monolithic
-  /// SearchEngine when `num_shards` <= 1, a ShardedSearchEngine otherwise
-  /// (with `shard_threads` fan-out workers; 1 = sequential scatter).
-  /// `strategy` overrides the config's evaluation strategy when set. Every
-  /// figure bench that takes its engine from here runs sharded by setting
-  /// TOPPRIV_SHARDS (and MaxScore by setting TOPPRIV_EVAL_STRATEGY) —
-  /// results are identical by the parity contract, so the figures are
-  /// architecture-independent.
-  std::unique_ptr<search::QueryEngine> MakeEngine(
-      std::unique_ptr<search::Scorer> scorer, size_t num_shards,
-      size_t shard_threads = 1,
-      std::optional<search::EvalStrategy> strategy = std::nullopt);
-  /// Same, with the shard count from the config (TOPPRIV_SHARDS).
+  /// A SearchEngine over the fixture corpus and index() with `scorer`.
   std::unique_ptr<search::QueryEngine> MakeEngine(
       std::unique_ptr<search::Scorer> scorer);
 
@@ -148,7 +121,6 @@ class ExperimentFixture {
   corpus::GroundTruthModel ground_truth_;
   std::unique_ptr<std::vector<corpus::BenchmarkQuery>> workload_;
   std::unique_ptr<index::InvertedIndex> index_;
-  std::map<size_t, std::unique_ptr<index::ShardedIndex>> sharded_;
   std::map<size_t, std::unique_ptr<topicmodel::LdaModel>> models_;
 };
 

@@ -44,9 +44,8 @@ class InvertedIndex {
 
   /// Builds an index over the document range [begin, end) only, with doc
   /// ids LOCAL to the range (global id d maps to local id d - begin). The
-  /// term space stays the full corpus vocabulary, so every shard of a
-  /// ShardedIndex answers Postings() for any term. Build(c) is
-  /// BuildRange(c, 0, num_documents).
+  /// term space stays the full corpus vocabulary, so a range index answers
+  /// Postings() for any term. Build(c) is BuildRange(c, 0, num_documents).
   static InvertedIndex BuildRange(const corpus::Corpus& corpus,
                                   corpus::DocId begin, corpus::DocId end);
 

@@ -50,7 +50,6 @@ void PostingList::Builder::Append(corpus::DocId doc, uint32_t tf) {
   pending_docs_[pending_] = doc;
   ++pending_;
   last_doc_ = doc;
-  list_max_tf_ = std::max(list_max_tf_, tf);
   ++count_;
   if (pending_ == kPostingBlockSize) FlushBlock();
 }
@@ -64,14 +63,12 @@ void PostingList::Builder::FlushBlock() {
   info.count = pending_;
   info.first_doc = pending_docs_[0];
   info.last_doc = pending_docs_[pending_ - 1];
-  info.max_tf = 0;
   // Delta group first, then the tf group: two tight homogeneous streams.
   for (uint32_t i = 0; i < pending_; ++i) {
     util::AppendVarint(pending_deltas_[i], &bytes_);
   }
   for (uint32_t i = 0; i < pending_; ++i) {
     util::AppendVarint(pending_tfs_[i], &bytes_);
-    info.max_tf = std::max(info.max_tf, pending_tfs_[i]);
   }
   blocks_.push_back(info);
   pending_ = 0;
@@ -83,13 +80,11 @@ PostingList PostingList::Builder::Build() {
   list.bytes_ = std::move(bytes_);
   list.blocks_ = std::move(blocks_);
   list.count_ = count_;
-  list.list_max_tf_ = list_max_tf_;
   bytes_.clear();
   blocks_.clear();
   count_ = 0;
   has_any_ = false;
   last_doc_ = 0;
-  list_max_tf_ = 0;
   pending_ = 0;
   return list;
 }
@@ -290,9 +285,7 @@ util::StatusOr<PostingList> PostingList::DecodeFrom(
           return util::Status::DataLoss("posting list body malformed");
         }
         TOPPRIV_RETURN_IF_ERROR(check.CheckTf(tf));
-        info.max_tf = std::max(info.max_tf, static_cast<uint32_t>(tf));
       }
-      list.list_max_tf_ = std::max(list.list_max_tf_, info.max_tf);
       list.blocks_.push_back(info);
       decoded += n;
     }

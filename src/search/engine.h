@@ -14,9 +14,7 @@
 #include "search/topk.h"
 #include "text/vocabulary.h"
 #include "util/deadline.h"
-#include "util/mutex.h"
 #include "util/status.h"
-#include "util/thread_annotations.h"
 
 namespace toppriv::search {
 
@@ -27,44 +25,13 @@ struct QueryTerm {
   uint32_t qtf = 0;
 };
 
-/// How a query is evaluated against an index. Both strategies return
-/// BIT-identical top-k lists (docs, scores, order) — the parity suites
-/// enforce it — so the choice is purely a performance knob:
-///  - kTAAT: term-at-a-time accumulation; touches every posting of every
-///    query term. Simple, branch-light, optimal for tiny indexes.
-///  - kMaxScore: document-at-a-time with per-term score upper bounds
-///    (Turtle & Flood): once the top-k heap fills, terms whose summed
-///    bounds cannot beat the k-th score stop generating candidates, docs
-///    are abandoned mid-scoring when the remaining bounds cannot rescue
-///    them, and whole 128-posting blocks are skipped via the block-max tf
-///    bounds. Wins when lists are long relative to k.
-enum class EvalStrategy { kTAAT, kMaxScore };
-
-/// "taat" / "maxscore" (for logs, benches, and the env knob).
-const char* EvalStrategyName(EvalStrategy strategy);
-
-/// Reads TOPPRIV_EVAL_STRATEGY ("taat", default, or "maxscore").
-EvalStrategy EvalStrategyFromEnv();
-
-/// Per-term document-at-a-time cursor (MaxScore path): a position in the
-/// term's block directory plus the batch-decoded current block. Lives in
-/// EvalScratch so the ~1.5 KiB block buffers are reused across queries.
-struct TermCursor {
-  const index::PostingList* list = nullptr;
-  /// Index into the canonical query order (for qtf/df lookups).
-  size_t qi = 0;
-  /// List-level score upper bound for this term.
-  double ub = 0.0;
-  /// Doc id at the current position, kept hot in the cursor so pivot scans
-  /// never chase list->block(...) pointers. For an undecoded block this is
-  /// its first_doc (exact — the cursor sits at the block start).
-  corpus::DocId doc = 0;
-  size_t block_idx = 0;
-  uint32_t pos = 0;
-  bool block_decoded = false;
-  bool exhausted = false;
-  index::PostingBlock block;
-};
+/// How a query is evaluated against an index. Term-at-a-time (kTAAT) is
+/// the only strategy: it touches every posting of every query term, and it
+/// measured faster than document-at-a-time pruning and than splitting the
+/// index into in-process partitions at every corpus size this repo serves
+/// (see docs/ARCHITECTURE.md, "Retrieval is TAAT only"). The enum stays so
+/// engines can report what they run.
+enum class EvalStrategy { kTAAT };
 
 /// Reusable evaluation scratch: a contiguous score accumulator with one
 /// slot per document, plus the touched-document list that makes clearing
@@ -87,52 +54,32 @@ class EvalScratch {
                                                size_t, EvalScratch*,
                                                const std::vector<char>*,
                                                const util::Deadline*);
-  friend std::vector<ScoredDoc> MaxScoreTopK(const index::InvertedIndex&,
-                                             const CollectionStats&,
-                                             const Scorer&,
-                                             const std::vector<QueryTerm>&,
-                                             const std::vector<uint32_t>&,
-                                             size_t, EvalScratch*,
-                                             const std::vector<double>*,
-                                             const std::vector<char>*,
-                                             const util::Deadline*);
 
   /// Grows the accumulator to cover `num_documents` and resets any state a
   /// previous (possibly abandoned) query left behind.
   void Prepare(size_t num_documents);
 
-  // TAAT state: contiguous accumulator + touched list.
   std::vector<double> scores_;
   std::vector<char> is_touched_;
   std::vector<corpus::DocId> touched_;
-  // MaxScore state: per-term cursors (block buffers reused across queries),
-  // the ub-sorted order with its bound prefix sums, and the per-candidate
-  // contribution cache (probed in bound order, re-summed canonically).
-  std::vector<TermCursor> cursors_;
-  std::vector<size_t> ub_order_;
-  std::vector<double> sorted_prefix_ub_;
-  std::vector<double> contrib_;
-  std::vector<uint32_t> essential_;
-  std::vector<uint32_t> hits_;
-  std::vector<uint32_t> moved_;
 };
 
 /// Collapses a bag of term ids to unique (term, qtf) pairs in ascending
 /// term order. The sorted order fixes the floating-point accumulation order
-/// of every evaluation path — monolithic or per-shard — so results are
-/// bit-identical across engines (and independent of any hash-map iteration
-/// order).
+/// of every evaluation path — the static index or any live segment — so
+/// results are bit-identical across engines (and independent of any
+/// hash-map iteration order).
 std::vector<QueryTerm> CollapseQuery(const std::vector<text::TermId>& terms);
 
 /// The shared term-at-a-time evaluation core: accumulates `query` over
 /// `index`'s posting lists into `scratch`, scoring with the collection-wide
 /// `stats` and the per-term document frequencies `dfs` (parallel to
-/// `query`; the monolithic engine passes the index's own df, a sharded
-/// engine passes the GLOBAL df so every shard scores identically), then
-/// extracts the top `k`. Result doc ids are local to `index`; sharded
-/// callers offset them by their shard's range base before merging.
-/// Exposing this lets SearchEngine and ShardedSearchEngine run literally
-/// the same arithmetic, which is what the bit-parity suite locks down.
+/// `query`; SearchEngine passes the index's own df, LiveSearchEngine the
+/// snapshot's GLOBAL df so every segment scores identically), then
+/// extracts the top `k`. Result doc ids are local to `index`; the live
+/// engine lifts them to its snapshot's dense id space before merging.
+/// Both engines running literally the same arithmetic is what the
+/// bit-parity suites lock down.
 ///
 /// `exclude`, when given, is a per-document tombstone mask (parallel to
 /// `index`'s local doc-id space; nonzero = excluded): masked documents
@@ -160,64 +107,13 @@ std::vector<ScoredDoc> AccumulateTopK(const index::InvertedIndex& index,
                                       const util::Deadline* deadline =
                                           nullptr);
 
-/// Exact per-term impact bounds: for each term, the maximum TermScore any
-/// of its postings can produce at qtf = 1 (one full walk of the index).
-/// Much tighter than the analytic Scorer::UpperBound (which must assume
-/// the worst doc length AND the list-max tf on the same posting), so the
-/// MaxScore partition turns more terms non-essential and abandons
-/// candidates earlier. Engines precompute this once per (index, scorer)
-/// when the MaxScore strategy is selected — the classic "max impact"
-/// metadata of impact-ordered indexes. `global_dfs`, when given, replaces
-/// each list's local document frequency (sharded engines score with global
-/// df, so their bounds must too).
-std::vector<double> ComputeTermImpactBounds(
-    const index::InvertedIndex& index, const CollectionStats& stats,
-    const Scorer& scorer, const std::vector<uint32_t>* global_dfs = nullptr);
-
-/// Document-at-a-time MaxScore evaluation: same inputs, same outputs as
-/// AccumulateTopK — BIT-identical, because every document that survives
-/// pruning re-accumulates its cached per-term contributions in the
-/// identical canonical term order (CollapseQuery), and pruning is provably
-/// safe: per-term bounds dominate every posting's TermScore, bound sums
-/// carry a 1e-9 relative inflation so no floating-point association
-/// difference can prune a document within rounding distance of the
-/// threshold, and a document is only dropped when its inflated bound is
-/// STRICTLY below the current k-th score (a tie could still win on doc id,
-/// so ties are never pruned). `term_bounds` is the ComputeTermImpactBounds
-/// table (nullptr falls back to the analytic Scorer::UpperBound).
-/// `exclude` is the tombstone mask of AccumulateTopK: a masked pivot is
-/// never scored or offered (its cursors advance past it), and the bounds
-/// stay valid — they dominate every posting, masked ones included.
-/// `deadline` follows the AccumulateTopK contract (polled per pivot
-/// iteration here — every iteration decodes at most a handful of blocks —
-/// and an expired query returns empty, never partial).
-std::vector<ScoredDoc> MaxScoreTopK(const index::InvertedIndex& index,
-                                    const CollectionStats& stats,
-                                    const Scorer& scorer,
-                                    const std::vector<QueryTerm>& query,
-                                    const std::vector<uint32_t>& dfs,
-                                    size_t k, EvalScratch* scratch,
-                                    const std::vector<double>* term_bounds =
-                                        nullptr,
-                                    const std::vector<char>* exclude =
-                                        nullptr,
-                                    const util::Deadline* deadline =
-                                        nullptr);
-
-/// Strategy dispatch over the two cores above.
-std::vector<ScoredDoc> EvaluateTopK(EvalStrategy strategy,
-                                    const index::InvertedIndex& index,
-                                    const CollectionStats& stats,
-                                    const Scorer& scorer,
-                                    const std::vector<QueryTerm>& query,
-                                    const std::vector<uint32_t>& dfs,
-                                    size_t k, EvalScratch* scratch,
-                                    const std::vector<double>* term_bounds =
-                                        nullptr,
-                                    const std::vector<char>* exclude =
-                                        nullptr,
-                                    const util::Deadline* deadline =
-                                        nullptr);
+/// kDeadlineExceeded (and a search.deadline_exceeded count) when
+/// `deadline` has expired; OK when it has not or is null. Every
+/// EvaluateWithOptions checks it before and after evaluating, and discards
+/// the results of a call that expired either way — so the accept/reject
+/// decision is a pure function of the deadline, not of how fast the engine
+/// ran relative to the check sites.
+util::Status CheckDeadline(const util::Deadline* deadline);
 
 /// One entry in the engine-side query log: the adversary's view. Queries
 /// arrive as bags of term ids; the engine cannot tell user queries from
@@ -265,17 +161,17 @@ class QueryLog {
 /// Per-call knobs for the failure-aware evaluation entry point.
 struct QueryOptions {
   /// Cooperative deadline/cancellation, polled at block-decode granularity
-  /// inside the eval cores and across shard/segment fan-out. Null = none.
-  /// The Deadline's cancel flag is shared across the whole fan-out, so one
-  /// expiry observation stops every sibling shard.
+  /// inside the eval core and across the live engine's segment fan-out.
+  /// Null = none. The Deadline's cancel flag is shared across the whole
+  /// fan-out, so one expiry observation stops every sibling segment.
   const util::Deadline* deadline = nullptr;
 };
 
 /// Abstract ranked-retrieval engine: what the privacy layer (TrustedClient,
 /// SessionProtector) and the serving driver program against. Implemented by
-/// the monolithic SearchEngine and by ShardedSearchEngine; the sharding
-/// test suite proves the two are interchangeable bit for bit, so every
-/// layer above can swap one for the other freely.
+/// SearchEngine over a static index and by LiveSearchEngine over a live
+/// index's snapshots; the live parity suite proves the two interchangeable
+/// bit for bit, so every layer above can swap one for the other freely.
 class QueryEngine {
  public:
   virtual ~QueryEngine() = default;
@@ -295,10 +191,10 @@ class QueryEngine {
   /// BIT-identical to Evaluate (the deadline machinery never perturbs
   /// surviving arithmetic); an expired or cancelled one returns
   /// kDeadlineExceeded and its partial work is discarded, never surfaced.
-  /// The base implementation brackets Evaluate with expiry checks (coarse:
+  /// The base implementation brackets Evaluate with CheckDeadline (coarse:
   /// a stuck engine still runs to completion); the real engines override
-  /// it to poll inside the eval cores and across the shard fan-out, so a
-  /// wedged shard costs at most one block decode past the deadline.
+  /// it to poll inside the eval core and across the segment fan-out, so a
+  /// wedged evaluation costs at most one block decode past the deadline.
   virtual util::StatusOr<std::vector<ScoredDoc>> EvaluateWithOptions(
       const std::vector<text::TermId>& terms, size_t k,
       const QueryOptions& options) const;
@@ -336,18 +232,16 @@ class SearchEngine : public QueryEngine {
                                 size_t k, uint64_t cycle_id = 0) override;
 
   std::vector<ScoredDoc> Evaluate(const std::vector<text::TermId>& terms,
-                                  size_t k) const override
-      EXCLUDES(strategy_mu_);
+                                  size_t k) const override;
 
   /// Same, accumulating into the caller's scratch (identical results).
   std::vector<ScoredDoc> Evaluate(const std::vector<text::TermId>& terms,
-                                  size_t k, EvalScratch* scratch) const
-      EXCLUDES(strategy_mu_);
+                                  size_t k, EvalScratch* scratch) const;
 
   /// Deadline threaded into the eval core (block-decode granularity).
   util::StatusOr<std::vector<ScoredDoc>> EvaluateWithOptions(
       const std::vector<text::TermId>& terms, size_t k,
-      const QueryOptions& options) const override EXCLUDES(strategy_mu_);
+      const QueryOptions& options) const override;
 
   const QueryLog& query_log() const override { return log_; }
   QueryLog& mutable_query_log() override { return log_; }
@@ -356,35 +250,20 @@ class SearchEngine : public QueryEngine {
   const index::InvertedIndex& index() const { return index_; }
   const Scorer& scorer() const override { return *scorer_; }
 
-  EvalStrategy eval_strategy() const override EXCLUDES(strategy_mu_) {
-    util::MutexLock lock(&strategy_mu_);
-    return strategy_;
-  }
-  /// Strategies are interchangeable between queries (results are
-  /// bit-identical by the parity contract). Selecting MaxScore (here or
-  /// at construction) builds the per-term impact-bound table on first
-  /// selection. Thread-safe: the strategy and its bound table live behind
-  /// strategy_mu_, exactly like ShardedSearchEngine's (this engine kept
-  /// the pre-PR-7 caller-beware contract until now — the last unguarded
-  /// strategy flip in the tree). In-flight Evaluate calls finish under the
-  /// strategy they started with.
-  void set_eval_strategy(EvalStrategy strategy) EXCLUDES(strategy_mu_);
+  EvalStrategy eval_strategy() const override { return EvalStrategy::kTAAT; }
 
  private:
+  /// The one evaluation body: canonical query plan with the index's own
+  /// document frequencies, then AccumulateTopK (polling `deadline` when
+  /// non-null).
+  std::vector<ScoredDoc> EvaluateBody(const std::vector<text::TermId>& terms,
+                                      size_t k, EvalScratch* scratch,
+                                      const util::Deadline* deadline) const;
+
   const corpus::Corpus& corpus_;
   const index::InvertedIndex& index_;
   std::unique_ptr<Scorer> scorer_;
   CollectionStats stats_;
-  /// Guards the evaluation-strategy switch (the one mutable knob shared
-  /// with concurrent Evaluate callers). Held only for enum/pointer reads
-  /// and the one-time bound-table build — never across evaluation.
-  mutable util::Mutex strategy_mu_;
-  EvalStrategy strategy_ GUARDED_BY(strategy_mu_) = EvalStrategy::kTAAT;
-  /// ComputeTermImpactBounds table; non-null iff MaxScore was ever
-  /// selected. The pointee is immutable — Evaluate snapshots the
-  /// shared_ptr under strategy_mu_ and reads it lock-free.
-  std::shared_ptr<const std::vector<double>> term_bounds_
-      GUARDED_BY(strategy_mu_);
   QueryLog log_;
 };
 

@@ -6,7 +6,7 @@
 // observes the fault scheduled at n), so a chaos schedule composed with a
 // deterministic workload replays bit-identically. Time is virtual: delays
 // and hangs ADVANCE a shared ManualClock instead of sleeping, which keeps
-// chaos runs instant and makes "stuck shard" a modelable event — a kHang
+// chaos runs instant and makes "stuck engine" a modelable event — a kHang
 // pushes the clock past any finite deadline, and the inner engine's next
 // block-granular poll observes expiry and unwinds. That is the tentpole
 // property under test: a hang costs the session one deadline, never a
@@ -33,13 +33,13 @@ namespace toppriv::search {
 struct EngineFault {
   enum class Kind {
     /// Advance the clock by `delay_nanos` before evaluating: the query may
-    /// still make its deadline (slow shard) or miss it (too slow).
+    /// still make its deadline (slow engine) or miss it (too slow).
     kDelay,
     /// Fail the call with kUnavailable without evaluating (e.g. a replica
     /// refusing traffic).
     kError,
     /// Advance the clock past ANY finite deadline before evaluating: the
-    /// model of a wedged shard. Only observable through a deadline — with
+    /// model of a wedged engine. Only observable through a deadline — with
     /// an infinite deadline the query still completes (and proves the
     /// wrapper never perturbs results).
     kHang,

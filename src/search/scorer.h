@@ -5,9 +5,9 @@
 // smoothed query-likelihood scorer so the substrate matches what enterprise
 // engines actually run. Scorers are stateless w.r.t. queries and consume
 // COLLECTION-level statistics only, passed explicitly as a CollectionStats:
-// with a sharded index each shard scores against the global statistics
-// (distributed-IR "global IDF"), which is what keeps sharded rankings
-// bit-identical to the monolithic engine's.
+// every segment of a live index scores against the snapshot's global
+// statistics ("global IDF"), which is what keeps live rankings
+// bit-identical to the static engine's.
 #ifndef TOPPRIV_SEARCH_SCORER_H_
 #define TOPPRIV_SEARCH_SCORER_H_
 
@@ -18,9 +18,9 @@
 
 namespace toppriv::search {
 
-/// Collection-wide statistics a scorer consumes. For a monolithic index
-/// these mirror the index's own accessors; for a sharded index they are the
-/// manifest's aggregates over every shard.
+/// Collection-wide statistics a scorer consumes. For a static index these
+/// mirror the index's own accessors; for a live index they are the
+/// snapshot's aggregates over every live document.
 struct CollectionStats {
   size_t num_documents = 0;
   double avg_doc_length = 0.0;
@@ -45,32 +45,11 @@ class Scorer {
                            uint32_t tf, uint32_t df, uint32_t qtf) const = 0;
 
   /// Optional per-document normalization applied after accumulation.
-  /// Contract (the MaxScore evaluator depends on it): for a non-negative
-  /// accumulated score, Normalize must never return MORE than the
-  /// accumulator — it may shrink a score (cosine length division, the
-  /// Dirichlet length prior), never inflate it.
   virtual double Normalize(const CollectionStats& stats, uint32_t doc_length,
                            double accumulated) const {
     (void)stats;
     (void)doc_length;
     return accumulated;
-  }
-
-  /// Upper bound on TermScore over every posting of a term: for all
-  /// doc_length and all tf <= max_tf,
-  ///   TermScore(stats, doc_length, tf, df, qtf) <= UpperBound(...).
-  /// The MaxScore evaluator partitions query terms and skips blocks with
-  /// these (list-level bounds use the list's max tf, block-level bounds the
-  /// block's). The default evaluates TermScore at tf = max_tf and
-  /// doc_length = 0, which is a bit-safe bound whenever TermScore is
-  /// non-decreasing in tf and non-increasing in doc_length through the
-  /// exact floating-point operations it performs — true of all three
-  /// scorers here (rounding is monotone, so the FP inequalities follow the
-  /// real ones). A scorer violating either monotonicity must override.
-  virtual double UpperBound(const CollectionStats& stats, uint32_t df,
-                            uint32_t max_tf, uint32_t qtf) const {
-    if (max_tf == 0) return 0.0;
-    return TermScore(stats, /*doc_length=*/0, max_tf, df, qtf);
   }
 
   /// Scorer name for logs and benches.

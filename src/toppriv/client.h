@@ -26,9 +26,9 @@ struct ProtectedSearchResult {
   uint64_t cycle_id = 0;
 };
 
-/// Client-side privacy proxy in front of a query engine (monolithic or
-/// sharded — the client is agnostic, as the paper's design demands: the
-/// server side stays unmodified whatever its internal architecture).
+/// Client-side privacy proxy in front of a query engine (static or live —
+/// the client is agnostic, as the paper's design demands: the server side
+/// stays unmodified whatever its internal architecture).
 class TrustedClient {
  public:
   /// Borrows everything; all referents must outlive the client.

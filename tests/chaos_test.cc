@@ -7,7 +7,7 @@
 //    filesystem op, degrading the LiveIndex (WAL self-healing under test);
 //  * query:    search::FaultInjectingEngine fails/delays/hangs the n-th
 //    evaluation, with virtual time on a shared util::ManualClock so a
-//    "stuck shard" is a modelable event rather than a real hang;
+//    "stuck engine" is a modelable event rather than a real hang;
 //  * time:     util::Deadline built on the same ManualClock, so expiry is
 //    a pure function of the fault schedule.
 //
@@ -35,23 +35,21 @@
 #include "corpus/corpus.h"
 #include "index/inverted_index.h"
 #include "index/live/live_index.h"
-#include "index/sharded_index.h"
 #include "search/engine.h"
 #include "search/fault_injecting_engine.h"
 #include "search/live_engine.h"
 #include "search/scorer.h"
-#include "search/sharded_engine.h"
 #include "util/deadline.h"
 #include "util/filesystem.h"
 #include "util/hash.h"
 #include "util/metrics.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace toppriv {
 namespace {
 
 using index::InvertedIndex;
-using index::ShardedIndex;
 using index::live::DurabilityPolicy;
 using index::live::LiveIndex;
 using index::live::LiveIndexOptions;
@@ -134,7 +132,7 @@ TEST(ChaosEngineTest, AcceptedCallsAreBitIdenticalRejectionsAreTyped) {
   corpus::Corpus corpus = SynthCorpus(vocab, 24, 0xBEEF);
   InvertedIndex index = InvertedIndex::Build(corpus);
   search::SearchEngine inner(corpus, index, search::MakeBm25Scorer(),
-                             search::EvalStrategy::kMaxScore);
+                             search::EvalStrategy::kTAAT);
   ManualClock clock;
   FaultInjectingEngine chaos(&inner, &clock);
   const std::vector<Doc> queries = SynthQueries(vocab, 8, 0xF00D);
@@ -202,7 +200,6 @@ TEST(ChaosEngineTest, ExpiredDeadlineRejectsAcrossEveryEngineShape) {
   const size_t vocab = 16;
   corpus::Corpus corpus = SynthCorpus(vocab, 24, 0xBEEF);
   InvertedIndex index = InvertedIndex::Build(corpus);
-  ShardedIndex sharded = ShardedIndex::Build(corpus, 3);
   LiveIndex live{LiveIndexOptions()};
   live.EnsureTermSpace(corpus.vocabulary().size());
   for (size_t d = 0; d < corpus.num_documents(); ++d) {
@@ -211,8 +208,6 @@ TEST(ChaosEngineTest, ExpiredDeadlineRejectsAcrossEveryEngineShape) {
   live.Refresh();
 
   search::SearchEngine mono(corpus, index, search::MakeBm25Scorer());
-  search::ShardedSearchEngine fanout(corpus, sharded,
-                                     search::MakeBm25Scorer(), 2);
   search::LiveSearchEngine over_live(corpus, live, search::MakeBm25Scorer(),
                                      search::EvalStrategy::kTAAT);
   ManualClock clock;
@@ -222,15 +217,12 @@ TEST(ChaosEngineTest, ExpiredDeadlineRejectsAcrossEveryEngineShape) {
   options.deadline = &dead;
   const Doc query = {0, 1};
   for (search::QueryEngine* engine :
-       std::initializer_list<search::QueryEngine*>{&mono, &fanout,
-                                                   &over_live}) {
+       std::initializer_list<search::QueryEngine*>{&mono, &over_live}) {
     auto result = engine->EvaluateWithOptions(query, 5, options);
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(result.status().code(), util::StatusCode::kDeadlineExceeded);
   }
   // The same engines, same query, no deadline: full parity.
-  ExpectBitIdentical(*fanout.EvaluateWithOptions(query, 5, {}),
-                     mono.Evaluate(query, 5), "fanout-parity");
   ExpectBitIdentical(*over_live.EvaluateWithOptions(query, 5, {}),
                      mono.Evaluate(query, 5), "live-parity");
 }
@@ -238,10 +230,21 @@ TEST(ChaosEngineTest, ExpiredDeadlineRejectsAcrossEveryEngineShape) {
 TEST(ChaosEngineTest, ConcurrentFleetSurvivesScriptedFaults) {
   const size_t vocab = 16;
   corpus::Corpus corpus = SynthCorpus(vocab, 24, 0xBEEF);
-  ShardedIndex sharded = ShardedIndex::Build(corpus, 3);
-  search::ShardedSearchEngine inner(corpus, sharded, search::MakeBm25Scorer(),
-                                    /*num_threads=*/2,
-                                    search::EvalStrategy::kMaxScore);
+  // Three sealed segments evaluated on a borrowed 2-thread pool: every
+  // query fans out in parallel, so one deadline expiry must stop sibling
+  // segment evaluations running on other threads.
+  LiveIndexOptions live_options;
+  live_options.max_writer_docs = 8;
+  LiveIndex live{live_options};
+  live.EnsureTermSpace(corpus.vocabulary().size());
+  for (size_t d = 0; d < corpus.num_documents(); ++d) {
+    live.Ingest({corpus.document(d).tokens});
+  }
+  live.Refresh();
+  ASSERT_GE(live.Acquire()->num_segments(), 3u);
+  util::ThreadPool eval_pool(2);
+  search::LiveSearchEngine inner(corpus, live, search::MakeBm25Scorer(),
+                                 search::EvalStrategy::kTAAT, &eval_pool);
   ManualClock clock;
   FaultInjectingEngine chaos(&inner, &clock);
   const std::vector<Doc> queries = SynthQueries(vocab, 8, 0xF00D);
@@ -300,7 +303,7 @@ TEST(ChaosEngineTest, ConcurrentFleetSurvivesScriptedFaults) {
   EXPECT_EQ(chaos.calls(), kTotalCalls);
   EXPECT_EQ(chaos.faults_fired(), scheduled);
   // Every fault rejects its own call, and a hang's clock jump can ALSO
-  // expire sibling in-flight deadlines (a wedged shard stalls the virtual
+  // expire sibling in-flight deadlines (a wedged engine stalls the virtual
   // world — collateral expiry is the cancellation doing its job), so the
   // rejection count is bounded below by the schedule, not equal to it.
   EXPECT_GE(total_rejected, scheduled);
@@ -520,7 +523,7 @@ TEST(ChaosSmoke, FixedScheduleDigestMatchesNoFaultReference) {
   corpus::Corpus corpus = SynthCorpus(vocab, 24, 0xBEEF);
   InvertedIndex index = InvertedIndex::Build(corpus);
   search::SearchEngine inner(corpus, index, search::MakeBm25Scorer(),
-                             search::EvalStrategy::kMaxScore);
+                             search::EvalStrategy::kTAAT);
   ManualClock clock;
   FaultInjectingEngine chaos(&inner, &clock);
   const std::vector<Doc> queries = SynthQueries(vocab, 8, 0xF00D);

@@ -34,9 +34,11 @@ TEST(FixtureConfigTest, EnvOverrides) {
 }
 
 TEST(FixtureConfigTest, InvalidEnvFallsBack) {
-  ::setenv("TOPPRIV_DOCS", "not-a-number", 1);
-  FixtureConfig config = FixtureConfig::FromEnv();
-  EXPECT_EQ(config.corpus_params.num_docs, 1500u);
+  for (const char* bad : {"not-a-number", "12abc"}) {
+    ::setenv("TOPPRIV_DOCS", bad, 1);
+    FixtureConfig config = FixtureConfig::FromEnv();
+    EXPECT_EQ(config.corpus_params.num_docs, 1500u) << bad;
+  }
   ::unsetenv("TOPPRIV_DOCS");
 }
 

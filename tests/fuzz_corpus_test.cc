@@ -18,7 +18,6 @@
 #include "index/inverted_index.h"
 #include "index/live/wal.h"
 #include "index/posting_list.h"
-#include "index/sharded_index.h"
 #include "topicmodel/lda_model.h"
 
 namespace toppriv {
@@ -60,14 +59,6 @@ TEST(FuzzCorpusTest, PostingListSeedsRoundTrip) {
 TEST(FuzzCorpusTest, InvertedIndexSeedsRoundTrip) {
   for (const auto& [name, bytes] : LoadSeeds("inverted_index")) {
     auto idx = index::InvertedIndex::Deserialize(bytes);
-    ASSERT_TRUE(idx.ok()) << name << ": " << idx.status().message();
-    EXPECT_EQ(idx->Serialize(), bytes) << name << " is not canonical";
-  }
-}
-
-TEST(FuzzCorpusTest, ShardedIndexSeedsRoundTrip) {
-  for (const auto& [name, bytes] : LoadSeeds("sharded_index")) {
-    auto idx = index::ShardedIndex::Deserialize(bytes);
     ASSERT_TRUE(idx.ok()) << name << ": " << idx.status().message();
     EXPECT_EQ(idx->Serialize(), bytes) << name << " is not canonical";
   }

@@ -50,9 +50,6 @@ std::unique_ptr<search::Scorer> MakeScorer(int which) {
   }
 }
 
-const search::EvalStrategy kStrategies[] = {search::EvalStrategy::kTAAT,
-                                            search::EvalStrategy::kMaxScore};
-
 void ExpectBitIdentical(const std::vector<ScoredDoc>& got,
                         const std::vector<ScoredDoc>& want,
                         const char* context) {
@@ -106,11 +103,8 @@ util::ThreadPool& EvalPool() {
 }
 
 // THE parity check: the live index's current state must be
-// indistinguishable — results (all scorers × both strategies × sequential
-// and pooled per-segment scatter) and stats — from a static build of
-// `final_docs`. MaxScore runs over the engine's cached per-segment impact
-// bounds (queries after the first serve from the cache), so every call
-// here also locks down cached-bounds parity.
+// indistinguishable — results (all scorers × sequential and pooled
+// per-segment scatter) and stats — from a static build of `final_docs`.
 void ExpectLiveMatchesStatic(LiveIndex& live, const std::vector<Doc>& final_docs,
                              size_t vocab_size,
                              const std::vector<Doc>& queries, size_t k,
@@ -121,21 +115,16 @@ void ExpectLiveMatchesStatic(LiveIndex& live, const std::vector<Doc>& final_docs
   ASSERT_EQ(snapshot->num_documents(), static_index.num_documents()) << context;
   ExpectStatsEqual(snapshot->ComputeStats(), static_index.ComputeStats());
   for (int scorer_kind = 0; scorer_kind < 3; ++scorer_kind) {
-    for (search::EvalStrategy strategy : kStrategies) {
-      search::SearchEngine mono(expected, static_index,
-                                MakeScorer(scorer_kind), strategy);
-      LiveSearchEngine engine(expected, live, MakeScorer(scorer_kind),
-                              strategy);
-      LiveSearchEngine pooled(expected, live, MakeScorer(scorer_kind),
-                              strategy, &EvalPool());
-      for (size_t qi = 0; qi < queries.size(); ++qi) {
-        SCOPED_TRACE(::testing::Message()
-                     << context << " scorer=" << scorer_kind << " strategy="
-                     << search::EvalStrategyName(strategy) << " query=" << qi);
-        const std::vector<ScoredDoc> want = mono.Evaluate(queries[qi], k);
-        ExpectBitIdentical(engine.Evaluate(queries[qi], k), want, context);
-        ExpectBitIdentical(pooled.Evaluate(queries[qi], k), want, context);
-      }
+    search::SearchEngine mono(expected, static_index, MakeScorer(scorer_kind));
+    LiveSearchEngine engine(expected, live, MakeScorer(scorer_kind));
+    LiveSearchEngine pooled(expected, live, MakeScorer(scorer_kind),
+                            search::EvalStrategy::kTAAT, &EvalPool());
+    for (size_t qi = 0; qi < queries.size(); ++qi) {
+      SCOPED_TRACE(::testing::Message() << context << " scorer="
+                                        << scorer_kind << " query=" << qi);
+      const std::vector<ScoredDoc> want = mono.Evaluate(queries[qi], k);
+      ExpectBitIdentical(engine.Evaluate(queries[qi], k), want, context);
+      ExpectBitIdentical(pooled.Evaluate(queries[qi], k), want, context);
     }
   }
 }
@@ -292,103 +281,33 @@ TEST(LiveIndexParityTest, DeleteThenReinsertMatchesStaticBuildOfFinalCorpus) {
 
   ExpectLiveMatchesStatic(live, final_docs, vocab, WorldQueries(10), 10,
                           "delete-reinsert");
-}
 
-// The cached-bounds protocol's hard edges, exercised through PERSISTENT
-// engines whose caches live across the mutations (fresh engines per stage
-// would never hold a stale table):
-//   - a delete dropping a term's df to zero,
-//   - EnsureTermSpace growth followed by docs using the new term ids,
-//   - a merge commit swapping the segment list under cached tables
-//     (df-neutral: the version must NOT move, yet the merge output's
-//     tables recompute on first use via segment identity).
-// Every stage checks all engines bit-identical against a static build of
-// the stage's corpus, evaluating twice so the second call serves from the
-// cache.
-TEST(LiveIndexParityTest, DfVersionEdgesKeepCachedBoundsExact) {
-  const size_t kFinalVocab = 12;
-  // Long-lived corpus for the engines to borrow (the live engines score
-  // from snapshots; the corpus only backs corpus() consumers, so the full
-  // final vocabulary up-front is safe at every stage).
-  corpus::Corpus host = CorpusFromDocs(kFinalVocab, {});
-
-  LiveIndexOptions options;
-  options.max_writer_docs = 2;  // small segments → many bound tables
-  options.merge_factor = 4;
-  LiveIndex live(options);
-  live.EnsureTermSpace(8);
-
-  LiveSearchEngine seq_max(host, live, search::MakeBm25Scorer(),
-                           search::EvalStrategy::kMaxScore);
-  LiveSearchEngine pooled_max(host, live, search::MakeBm25Scorer(),
-                              search::EvalStrategy::kMaxScore, &EvalPool());
-  LiveSearchEngine taat(host, live, search::MakeBm25Scorer(),
-                        search::EvalStrategy::kTAAT);
-
-  std::vector<Doc> final_docs;  // mirror of the live collection
-  auto check_stage = [&](size_t stage_vocab,
-                         const std::vector<Doc>& queries,
-                         const char* stage) {
-    live.Refresh();
-    corpus::Corpus expected = CorpusFromDocs(stage_vocab, final_docs);
-    InvertedIndex static_index = InvertedIndex::Build(expected);
-    search::SearchEngine mono(expected, static_index,
-                              search::MakeBm25Scorer(),
-                              search::EvalStrategy::kMaxScore);
-    for (size_t qi = 0; qi < queries.size(); ++qi) {
-      SCOPED_TRACE(::testing::Message() << stage << " query=" << qi);
-      const std::vector<ScoredDoc> want = mono.Evaluate(queries[qi], 8);
-      // Twice: the first call (re)builds the stage's tables, the second
-      // must serve them from the cache with identical results.
-      ExpectBitIdentical(seq_max.Evaluate(queries[qi], 8), want, stage);
-      ExpectBitIdentical(seq_max.Evaluate(queries[qi], 8), want, stage);
-      ExpectBitIdentical(pooled_max.Evaluate(queries[qi], 8), want, stage);
-      ExpectBitIdentical(taat.Evaluate(queries[qi], 8), want, stage);
-    }
-  };
-
-  // Stage 0 — baseline: populate the collection and the bound caches.
-  // Term 5 appears in exactly one document (doc "1"), so deleting that
-  // document later drops df[5] to zero.
-  const std::vector<Doc> baseline = {
+  // Global-df edges on a small index: a delete that drops a term's df to
+  // zero, term-space growth followed by docs carrying the new ids, and a
+  // merge that swaps the whole segment list.
+  LiveIndexOptions small_options;
+  small_options.max_writer_docs = 2;
+  LiveIndex small(small_options);
+  small.EnsureTermSpace(8);
+  // Term 5 appears only in the second document.
+  std::vector<Doc> small_docs = {
       {0, 1, 2, 2}, {3, 5, 5, 1}, {2, 4, 0}, {1, 3, 3}, {4, 4, 2, 0}};
-  std::vector<StableId> ids = live.Ingest(baseline);
-  for (const Doc& d : baseline) final_docs.push_back(d);
-  check_stage(8, {{1, 2}, {5}, {0, 3, 4}}, "baseline");
-
-  // Stage 1 — delete the ONLY holder of term 5: df[5] 1 → 0. A cached
-  // table treating term 5 as scoreable would disagree with the static
-  // build where the term simply does not occur.
-  const uint64_t v_baseline = live.Acquire()->df_version();
-  ASSERT_TRUE(live.Delete(ids[1]));
-  final_docs.erase(final_docs.begin() + 1);
-  EXPECT_GT(live.Refresh()->df_version(), v_baseline)
-      << "delete must bump the df-version";
-  check_stage(8, {{1, 2}, {5}, {5, 3}, {0, 3, 4}}, "df-to-zero");
-
-  // Stage 2 — grow the term space mid-stream and ingest docs carrying the
-  // new ids: cached tables are too SHORT for the new vocabulary.
-  const uint64_t v_delete = live.Acquire()->df_version();
-  live.EnsureTermSpace(kFinalVocab);
+  const std::vector<StableId> small_ids = small.Ingest(small_docs);
+  ASSERT_TRUE(small.Delete(small_ids[1]));
+  small_docs.erase(small_docs.begin() + 1);
+  ExpectLiveMatchesStatic(small, small_docs, 8, {{1, 2}, {5}, {5, 3}}, 8,
+                          "df-to-zero");
+  small.EnsureTermSpace(12);
   const std::vector<Doc> growth = {{9, 10, 1}, {11, 11, 2, 9}, {8, 0}};
-  live.Ingest(growth);
-  for (const Doc& d : growth) final_docs.push_back(d);
-  EXPECT_GT(live.Refresh()->df_version(), v_delete)
-      << "term-space growth must bump the df-version";
-  check_stage(kFinalVocab, {{9, 11}, {1, 10}, {8, 2}, {0, 4, 11}}, "growth");
-
-  // Stage 3 — merge: the doc set (and so every df) is untouched, the
-  // version must NOT move, but the segment list the cached tables were
-  // keyed to is swapped out wholesale. Identity keying makes the merge
-  // output recompute on first use; results stay bit-identical.
-  const uint64_t v_growth = live.Acquire()->df_version();
-  ASSERT_GT(live.Acquire()->num_segments(), 1u);
-  live.ForceMerge();
-  std::shared_ptr<const IndexSnapshot> merged = live.Refresh();
-  EXPECT_EQ(merged->df_version(), v_growth)
-      << "a merge preserves the live doc set and must be df-neutral";
-  EXPECT_EQ(merged->num_segments(), 1u);
-  check_stage(kFinalVocab, {{9, 11}, {1, 10}, {5}, {0, 4, 11}}, "merged");
+  small.Ingest(growth);
+  small_docs.insert(small_docs.end(), growth.begin(), growth.end());
+  ExpectLiveMatchesStatic(small, small_docs, 12, {{9, 11}, {1, 10}, {8, 2}},
+                          8, "term-space-growth");
+  ASSERT_GT(small.num_segments(), 1u);
+  small.ForceMerge();
+  ExpectLiveMatchesStatic(small, small_docs, 12, {{9, 11}, {5}, {0, 4, 11}}, 8,
+                          "merged");
+  EXPECT_EQ(small.num_segments(), 1u);
 }
 
 TEST(LiveIndexTest, DeleteSemantics) {
@@ -972,71 +891,6 @@ TEST(LiveIndexConcurrencyTest, AcquireDuringRefreshMakesProgressAndIsOrdered) {
   EXPECT_GT(acquires.load(), docs.size());
   ExpectLiveMatchesStatic(live, docs, vocab, WorldQueries(10), 10,
                           "acquire-hammer");
-}
-
-// Regression for the set_eval_strategy race: the setter used to write the
-// strategy field unguarded while concurrent Evaluate calls read it, an
-// undiagnosed data race (and on the monolithic engine the lazy MaxScore
-// bound build doubled as an unguarded publication). Both engines now keep
-// the strategy behind a mutex and each Evaluate runs under the strategy it
-// snapshotted. Flippers toggle TAAT↔MaxScore as fast as they can while
-// readers evaluate; the TSan job turns any residual race into a report,
-// and since both strategies are bit-identical by the parity contract,
-// every result must match the reference no matter when the flip lands.
-TEST(LiveIndexConcurrencyTest, StrategyFlipsDuringEvaluationAreRaceFree) {
-  const std::vector<Doc> docs = WorldDocs();
-  const size_t vocab = World().corpus.vocabulary_size();
-  corpus::Corpus corpus_ref = CorpusFromDocs(vocab, docs);
-  InvertedIndex static_index = InvertedIndex::Build(corpus_ref);
-  search::SearchEngine mono(corpus_ref, static_index,
-                            search::MakeBm25Scorer(),
-                            search::EvalStrategy::kTAAT);
-
-  LiveIndex live;
-  live.EnsureTermSpace(vocab);
-  live.Ingest(docs);
-  live.Refresh();
-  LiveSearchEngine live_engine(corpus_ref, live, search::MakeBm25Scorer(),
-                               search::EvalStrategy::kTAAT, &EvalPool());
-
-  const std::vector<Doc> queries = WorldQueries(8);
-  std::vector<std::vector<ScoredDoc>> want;
-  for (const Doc& q : queries) want.push_back(mono.Evaluate(q, 10));
-
-  std::atomic<bool> done{false};
-  std::thread flip_mono([&] {
-    bool taat = false;
-    while (!done.load(std::memory_order_relaxed)) {
-      mono.set_eval_strategy(taat ? search::EvalStrategy::kTAAT
-                                  : search::EvalStrategy::kMaxScore);
-      taat = !taat;
-    }
-  });
-  std::thread flip_live([&] {
-    bool taat = false;
-    while (!done.load(std::memory_order_relaxed)) {
-      live_engine.set_eval_strategy(taat ? search::EvalStrategy::kTAAT
-                                         : search::EvalStrategy::kMaxScore);
-      taat = !taat;
-    }
-  });
-
-  std::vector<std::thread> readers;
-  for (int r = 0; r < 4; ++r) {
-    readers.emplace_back([&, r] {
-      for (size_t iter = 0; iter < 60; ++iter) {
-        const size_t qi = (static_cast<size_t>(r) + iter) % queries.size();
-        ExpectBitIdentical(mono.Evaluate(queries[qi], 10), want[qi],
-                           "mono under strategy flips");
-        ExpectBitIdentical(live_engine.Evaluate(queries[qi], 10), want[qi],
-                           "live under strategy flips");
-      }
-    });
-  }
-  for (std::thread& t : readers) t.join();
-  done.store(true);
-  flip_mono.join();
-  flip_live.join();
 }
 
 }  // namespace

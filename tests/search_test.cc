@@ -227,49 +227,6 @@ std::vector<ScoredDoc> MapBasedEvaluate(const index::InvertedIndex& index,
   return topk.Finish();
 }
 
-TEST(EngineTest, ContiguousAccumulatorMatchesMapBasedEvaluateBitForBit) {
-  // Parity lock for the accumulator rewrite: same generated corpus, same
-  // queries, identical ranked results — docs, order, and score BITS.
-  const auto& world = toppriv::testing::World();
-  for (int s = 0; s < 2; ++s) {
-    SearchEngine engine(world.corpus, world.index,
-                        s == 0 ? MakeBm25Scorer() : MakeTfIdfScorer());
-    EvalScratch reused_scratch;
-    util::Rng rng(911 + s);
-    for (int trial = 0; trial < 30; ++trial) {
-      // Mix workload queries with random ones (incl. repeated terms).
-      std::vector<text::TermId> query;
-      if (trial < 10) {
-        query = world.workload[trial].term_ids;
-      } else {
-        size_t len = 1 + rng.UniformInt(uint64_t{6});
-        for (size_t i = 0; i < len; ++i) {
-          query.push_back(static_cast<text::TermId>(
-              rng.UniformInt(uint64_t{world.corpus.vocabulary_size()})));
-        }
-      }
-      std::vector<ScoredDoc> want =
-          MapBasedEvaluate(world.index, engine.scorer(), query, 15);
-      std::vector<ScoredDoc> got = engine.Evaluate(query, 15);
-      // Also through a caller-owned scratch reused across all trials: reuse
-      // must not leak state between queries.
-      std::vector<ScoredDoc> got_reused =
-          engine.Evaluate(query, 15, &reused_scratch);
-      ASSERT_EQ(got.size(), want.size()) << "trial " << trial;
-      for (size_t i = 0; i < got.size(); ++i) {
-        EXPECT_EQ(got[i].doc, want[i].doc) << "trial " << trial;
-        // Bit equality, not EXPECT_NEAR: the rewrite promises the identical
-        // accumulation order.
-        EXPECT_EQ(got[i].score, want[i].score) << "trial " << trial;
-        EXPECT_EQ(got_reused[i].doc, want[i].doc) << "trial " << trial;
-        EXPECT_EQ(got_reused[i].score, want[i].score) << "trial " << trial;
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------- MaxScore vs TAAT --
-
 std::unique_ptr<Scorer> ScorerByKind(int which) {
   switch (which) {
     case 0:
@@ -281,60 +238,23 @@ std::unique_ptr<Scorer> ScorerByKind(int which) {
   }
 }
 
-TEST(MaxScoreTest, UpperBoundDominatesEveryPostingScore) {
-  // The safety premise of MaxScore pruning: for every term, the list-level
-  // (and block-level) UpperBound is >= the TermScore of every posting,
-  // compared as exact doubles.
-  const auto& world = toppriv::testing::World();
-  CollectionStats stats = CollectionStats::Of(world.index);
-  for (int kind = 0; kind < 3; ++kind) {
-    std::unique_ptr<Scorer> scorer = ScorerByKind(kind);
-    for (text::TermId t = 0; t < world.index.num_terms(); ++t) {
-      const index::PostingList& list = world.index.Postings(t);
-      if (list.empty()) continue;
-      const uint32_t df = world.index.DocFreq(t);
-      for (uint32_t qtf : {1u, 3u}) {
-        const double list_ub = scorer->UpperBound(stats, df, list.max_tf(), qtf);
-        size_t b = 0;
-        index::PostingBlock block;
-        for (; b < list.num_blocks(); ++b) {
-          const double block_ub =
-              scorer->UpperBound(stats, df, list.block(b).max_tf, qtf);
-          EXPECT_LE(block_ub, list_ub) << "term " << t << " block " << b;
-          list.DecodeBlock(b, &block);
-          for (uint32_t i = 0; i < block.count; ++i) {
-            const double s =
-                scorer->TermScore(stats, world.index.DocLength(block.docs[i]),
-                                  block.tfs[i], df, qtf);
-            ASSERT_LE(s, block_ub)
-                << scorer->Name() << " term " << t << " doc " << block.docs[i];
-          }
-        }
-      }
-    }
-  }
-}
-
-TEST(MaxScoreTest, MatchesTaatBitForBitOnWorkloadAndRandomQueries) {
-  // The tentpole parity lock: document-at-a-time MaxScore returns the
-  // IDENTICAL top-k — documents, order, score bits — as term-at-a-time,
-  // for every scorer, across k values that exercise both the unfilled-heap
-  // (no pruning) and tight-threshold (heavy pruning) regimes.
+TEST(EngineTest, ContiguousAccumulatorMatchesMapBasedEvaluateBitForBit) {
+  // Parity lock for the accumulator rewrite: same generated corpus, same
+  // queries, identical ranked results — docs, order, and score BITS — for
+  // every scorer, at k values from a single slot to more than any query
+  // matches.
   const auto& world = toppriv::testing::World();
   for (int kind = 0; kind < 3; ++kind) {
-    SearchEngine taat(world.corpus, world.index, ScorerByKind(kind),
-                      EvalStrategy::kTAAT);
-    SearchEngine maxscore(world.corpus, world.index, ScorerByKind(kind),
-                          EvalStrategy::kMaxScore);
-    ASSERT_EQ(maxscore.eval_strategy(), EvalStrategy::kMaxScore);
-    EvalScratch reused;
-    util::Rng rng(1234 + kind);
-    for (int trial = 0; trial < 60; ++trial) {
+    SearchEngine engine(world.corpus, world.index, ScorerByKind(kind));
+    EvalScratch reused_scratch;
+    util::Rng rng(911 + kind);
+    for (int trial = 0; trial < 40; ++trial) {
+      // Mix workload queries with random ones (incl. repeated terms).
       std::vector<text::TermId> query;
-      if (trial < static_cast<int>(world.workload.size())) {
+      if (trial < 10) {
         query = world.workload[trial].term_ids;
       } else {
-        size_t len = 1 + rng.UniformInt(uint64_t{7});
+        size_t len = 1 + rng.UniformInt(uint64_t{6});
         for (size_t i = 0; i < len; ++i) {
           // Draw past the vocabulary every other trial (empty lists).
           uint64_t space =
@@ -343,17 +263,22 @@ TEST(MaxScoreTest, MatchesTaatBitForBitOnWorkloadAndRandomQueries) {
         }
         if (len > 1 && trial % 3 == 0) query.push_back(query[0]);  // dup
       }
-      for (size_t k : {size_t{1}, size_t{3}, size_t{10}, size_t{400}}) {
+      for (size_t k : {size_t{1}, size_t{15}, size_t{400}}) {
         SCOPED_TRACE(::testing::Message() << "scorer=" << kind << " trial="
                                           << trial << " k=" << k);
-        std::vector<ScoredDoc> want = taat.Evaluate(query, k);
-        std::vector<ScoredDoc> got = maxscore.Evaluate(query, k);
+        std::vector<ScoredDoc> want =
+            MapBasedEvaluate(world.index, engine.scorer(), query, k);
+        std::vector<ScoredDoc> got = engine.Evaluate(query, k);
+        // Also through a caller-owned scratch reused across all trials:
+        // reuse must not leak state between queries.
         std::vector<ScoredDoc> got_reused =
-            maxscore.Evaluate(query, k, &reused);
+            engine.Evaluate(query, k, &reused_scratch);
         ASSERT_EQ(got.size(), want.size());
+        ASSERT_EQ(got_reused.size(), want.size());
         for (size_t i = 0; i < got.size(); ++i) {
           EXPECT_EQ(got[i].doc, want[i].doc) << "rank " << i;
-          // Bit equality: same canonical accumulation order per document.
+          // Bit equality, not EXPECT_NEAR: the rewrite promises the
+          // identical accumulation order.
           EXPECT_EQ(got[i].score, want[i].score) << "rank " << i;
           EXPECT_EQ(got_reused[i].doc, want[i].doc) << "rank " << i;
           EXPECT_EQ(got_reused[i].score, want[i].score) << "rank " << i;
@@ -361,32 +286,6 @@ TEST(MaxScoreTest, MatchesTaatBitForBitOnWorkloadAndRandomQueries) {
       }
     }
   }
-}
-
-TEST(MaxScoreTest, StrategyCanFlipMidStream) {
-  const auto& world = toppriv::testing::World();
-  SearchEngine engine(world.corpus, world.index, MakeBm25Scorer());
-  std::vector<ScoredDoc> taat = engine.Evaluate(world.workload[0].term_ids, 10);
-  engine.set_eval_strategy(EvalStrategy::kMaxScore);
-  std::vector<ScoredDoc> ms = engine.Evaluate(world.workload[0].term_ids, 10);
-  ASSERT_EQ(ms.size(), taat.size());
-  for (size_t i = 0; i < ms.size(); ++i) {
-    EXPECT_EQ(ms[i].doc, taat[i].doc);
-    EXPECT_EQ(ms[i].score, taat[i].score);
-  }
-}
-
-TEST(MaxScoreTest, StrategyNamesAndEnvParsing) {
-  EXPECT_STREQ(EvalStrategyName(EvalStrategy::kTAAT), "taat");
-  EXPECT_STREQ(EvalStrategyName(EvalStrategy::kMaxScore), "maxscore");
-  ::setenv("TOPPRIV_EVAL_STRATEGY", "maxscore", 1);
-  EXPECT_EQ(EvalStrategyFromEnv(), EvalStrategy::kMaxScore);
-  ::setenv("TOPPRIV_EVAL_STRATEGY", "taat", 1);
-  EXPECT_EQ(EvalStrategyFromEnv(), EvalStrategy::kTAAT);
-  ::setenv("TOPPRIV_EVAL_STRATEGY", "garbage", 1);
-  EXPECT_EQ(EvalStrategyFromEnv(), EvalStrategy::kTAAT);
-  ::unsetenv("TOPPRIV_EVAL_STRATEGY");
-  EXPECT_EQ(EvalStrategyFromEnv(), EvalStrategy::kTAAT);
 }
 
 TEST(EngineTest, EmptyQueryReturnsNothing) {

@@ -1,6 +1,5 @@
-// Negative-compile probe shaped like the bug this PR fixed: an engine
-// whose eval-strategy setter WRITES a GUARDED_BY member without taking the
-// mutex (the pre-fix SearchEngine::set_eval_strategy, racing concurrent
+// Negative-compile probe: an engine whose setter WRITES a GUARDED_BY
+// member without taking the mutex (the shape of a setter racing concurrent
 // Evaluate readers). Under Clang with -Werror=thread-safety-analysis this
 // translation unit MUST FAIL to compile; the configure-time check in
 // tests/CMakeLists.txt raises FATAL_ERROR if it ever succeeds. The probe

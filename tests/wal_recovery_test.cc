@@ -4,7 +4,7 @@
 // byte-boundary truncation, every injected I/O fault, a power cut under
 // any DurabilityPolicy — LiveIndex::Recover() (a) never crashes, (b) never
 // loses a mutation the policy acknowledged as durable, and (c) yields a
-// state whose Search() (all three scorers × TAAT/MaxScore) and
+// state whose Search() (all three scorers) and
 // ComputeStats() are bit-identical to a reference replay of the recovered
 // operation prefix. Hostile WAL/manifest/CURRENT bytes (bit flips,
 // truncations, stale generations, trailing garbage) are rejected with
@@ -61,9 +61,6 @@ std::unique_ptr<search::Scorer> MakeScorer(int which) {
       return std::make_unique<search::LmDirichletScorer>();
   }
 }
-
-const search::EvalStrategy kStrategies[] = {search::EvalStrategy::kTAAT,
-                                            search::EvalStrategy::kMaxScore};
 
 corpus::Corpus CorpusFromDocs(size_t vocab_size, const std::vector<Doc>& docs) {
   corpus::Corpus c;
@@ -294,18 +291,13 @@ void ExpectLiveMatchesStatic(LiveIndex& live, const std::vector<Doc>& final_docs
   ExpectStatsEqual(snapshot->ComputeStats(), static_index.ComputeStats(),
                    context);
   for (int scorer_kind = 0; scorer_kind < 3; ++scorer_kind) {
-    for (search::EvalStrategy strategy : kStrategies) {
-      search::SearchEngine mono(expected, static_index, MakeScorer(scorer_kind),
-                                strategy);
-      LiveSearchEngine engine(expected, live, MakeScorer(scorer_kind),
-                              strategy);
-      for (size_t qi = 0; qi < queries.size(); ++qi) {
-        SCOPED_TRACE(::testing::Message()
-                     << context << " scorer=" << scorer_kind << " strategy="
-                     << search::EvalStrategyName(strategy) << " query=" << qi);
-        ExpectBitIdentical(engine.Evaluate(queries[qi], k),
-                           mono.Evaluate(queries[qi], k), context);
-      }
+    search::SearchEngine mono(expected, static_index, MakeScorer(scorer_kind));
+    LiveSearchEngine engine(expected, live, MakeScorer(scorer_kind));
+    for (size_t qi = 0; qi < queries.size(); ++qi) {
+      SCOPED_TRACE(::testing::Message() << context << " scorer="
+                                        << scorer_kind << " query=" << qi);
+      ExpectBitIdentical(engine.Evaluate(queries[qi], k),
+                         mono.Evaluate(queries[qi], k), context);
     }
   }
 }
